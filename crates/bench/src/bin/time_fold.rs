@@ -1,37 +1,18 @@
-//! Calibration utility: quick per-method timings, a compact Table-I-lite
-//! (representative methods only) at full dataset size, and a
-//! serial-vs-parallel trainer benchmark (`--bench-train`). Used while tuning
-//! the dataset simulators; not part of the documented reproduction flow.
+//! Calibration utility: quick per-method timings (`--timings`) and a compact
+//! Table-I-lite (representative methods only) at full dataset size. Used
+//! while tuning the dataset simulators; not part of the documented
+//! reproduction flow.
 
 use std::time::Instant;
 
-use rll_core::{RllConfig, RllTrainer, RllVariant};
+use rll_core::RllVariant;
 use rll_eval::experiments::{table1, ExperimentScale};
 use rll_eval::method::{EmbedKind, MethodSpec, TrainBudget, TwoStageAgg};
-use serde::{Deserialize, Serialize};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--timings") {
         timings();
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == CHILD_FLAG) {
-        let threads: usize = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .expect("--bench-train-child <threads>");
-        bench_train_child(threads);
-        return;
-    }
-    if args.iter().any(|a| a == "--bench-train") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-            .unwrap_or("results/bench_train.json");
-        bench_train(out);
         return;
     }
     let seed: u64 = args
@@ -54,164 +35,6 @@ fn main() {
     let result = table1::run(ExperimentScale::Full, seed, Some(&methods)).expect("table1 subset");
     println!("{}", result.render());
     println!("elapsed: {:?}", t.elapsed());
-}
-
-/// Child-process flag: run one `fit` with the kernel variant taken from the
-/// `RLL_KERNEL` environment (which is read once per process — hence the
-/// subprocess design) and print a [`VariantRun`] JSON line.
-const CHILD_FLAG: &str = "--bench-train-child";
-
-/// The `serial_secs` recorded by the pre-kernel `bench_train/v1` run checked
-/// into `results/bench_train.json`; the tiled-kernel speedup is reported
-/// against it.
-const COMMITTED_SERIAL_BASELINE_SECS: f64 = 0.295228568;
-
-/// How many times each (kernel, threads) cell is re-run; the fastest run is
-/// kept, which filters scheduler noise on small boxes.
-const REPS_PER_VARIANT: usize = 5;
-
-/// One timed `fit` in a child process.
-#[derive(Serialize, Deserialize)]
-struct VariantRun {
-    kernel: String,
-    threads: usize,
-    secs: f64,
-    /// FNV-1a over the final embedding matrix bits — byte-equality across
-    /// variants is the determinism contract.
-    embed_hash: String,
-    /// FNV-1a over epoch losses ++ pre-clip gradient norms.
-    trace_hash: String,
-}
-
-#[derive(Serialize)]
-struct BenchTrainV2 {
-    schema: String,
-    workload: String,
-    seed: u64,
-    epochs: usize,
-    groups_per_epoch: usize,
-    available_cores: usize,
-    reps_per_variant: usize,
-    baseline_serial_secs: f64,
-    /// Best-of-reps timings for every kernel x thread-count cell.
-    variants: Vec<VariantRun>,
-    /// Serial tiled vs serial scalar, measured in this run.
-    tiled_speedup_vs_scalar_serial: f64,
-    /// Serial tiled vs the committed pre-kernel baseline.
-    tiled_speedup_vs_baseline: f64,
-    outputs_identical: bool,
-}
-
-/// Runs one `RllTrainer::fit` at the given thread count with the
-/// process-wide configured kernel and prints the timing + output hashes.
-fn bench_train_child(threads: usize) {
-    let seed = 42;
-    let ds = rll_data::presets::oral(seed).expect("oral preset");
-    let trainer = RllTrainer::new(RllConfig::default())
-        .expect("valid config")
-        .with_threads(threads);
-    let t = Instant::now();
-    let (model, trace) = trainer
-        .fit(&ds.features, &ds.annotations, seed)
-        .expect("training succeeds");
-    let secs = t.elapsed().as_secs_f64();
-    let embed = model.embed(&ds.features).expect("embed");
-    let mut trace_values = trace.epoch_losses.clone();
-    trace_values.extend_from_slice(&trace.grad_norms_pre_clip);
-    let run = VariantRun {
-        kernel: rll_tensor::kernels::configured_kernel().as_str().into(),
-        threads,
-        secs,
-        embed_hash: format!("{:#018x}", rll_tensor::hash::fnv1a_f64s(embed.as_slice())),
-        trace_hash: format!("{:#018x}", rll_tensor::hash::fnv1a_f64s(&trace_values)),
-    };
-    println!("{}", serde_json::to_string(&run).expect("serialize"));
-}
-
-/// Benchmarks the full trainer across kernel variants (scalar vs tiled) and
-/// thread counts (1 vs 4), checks all four runs produce bitwise-identical
-/// models, and writes the measurements as `bench_train/v2` JSON.
-///
-/// Each cell runs in a child process because `RLL_KERNEL` is latched on
-/// first read; the parent sets the variable per child and keeps the fastest
-/// of [`REPS_PER_VARIANT`] runs. Speedups are reported as measured, alongside
-/// `available_cores`: on a single-core machine the 4-thread runs cannot beat
-/// the serial ones, and that is the honest number — the point of `rll-par`
-/// is that the *results* never depend on the thread count.
-fn bench_train(out: &str) {
-    let exe = std::env::current_exe().expect("current exe");
-    let seed = 42;
-    let ds = rll_data::presets::oral(seed).expect("oral preset");
-    let config = RllConfig::default();
-
-    let mut variants: Vec<VariantRun> = Vec::new();
-    for kernel in ["scalar", "tiled"] {
-        for threads in [1usize, 4] {
-            let mut best: Option<VariantRun> = None;
-            for _ in 0..REPS_PER_VARIANT {
-                let output = std::process::Command::new(&exe)
-                    .arg(CHILD_FLAG)
-                    .arg(threads.to_string())
-                    .env(rll_tensor::kernels::KERNEL_ENV_VAR, kernel)
-                    .output()
-                    .expect("spawn bench child");
-                assert!(
-                    output.status.success(),
-                    "bench child (kernel={kernel}, threads={threads}) failed:\n{}",
-                    String::from_utf8_lossy(&output.stderr)
-                );
-                let stdout = String::from_utf8_lossy(&output.stdout);
-                let run: VariantRun = serde_json::from_str(stdout.trim()).expect("child JSON");
-                assert_eq!(run.kernel, kernel, "child ran the wrong kernel variant");
-                if best.as_ref().is_none_or(|b| run.secs < b.secs) {
-                    best = Some(run);
-                }
-            }
-            variants.push(best.expect("at least one rep"));
-        }
-    }
-
-    let outputs_identical = variants
-        .iter()
-        .all(|v| v.embed_hash == variants[0].embed_hash && v.trace_hash == variants[0].trace_hash);
-    let secs_of = |kernel: &str, threads: usize| {
-        variants
-            .iter()
-            .find(|v| v.kernel == kernel && v.threads == threads)
-            .expect("cell present")
-            .secs
-    };
-    let scalar_serial = secs_of("scalar", 1);
-    let tiled_serial = secs_of("tiled", 1);
-
-    let report = BenchTrainV2 {
-        schema: "bench_train/v2".into(),
-        workload: format!(
-            "RllTrainer::fit on presets::oral ({} items, {} workers)",
-            ds.features.rows(),
-            ds.annotations.num_workers()
-        ),
-        seed,
-        epochs: config.epochs,
-        groups_per_epoch: config.groups_per_epoch,
-        available_cores: rll_par::available_threads(),
-        reps_per_variant: REPS_PER_VARIANT,
-        baseline_serial_secs: COMMITTED_SERIAL_BASELINE_SECS,
-        variants,
-        tiled_speedup_vs_scalar_serial: scalar_serial / tiled_serial,
-        tiled_speedup_vs_baseline: COMMITTED_SERIAL_BASELINE_SECS / tiled_serial,
-        outputs_identical,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize");
-    if let Some(parent) = std::path::Path::new(out).parent() {
-        std::fs::create_dir_all(parent).expect("create results dir");
-    }
-    std::fs::write(out, format!("{json}\n")).expect("write bench json");
-    println!("{json}");
-    assert!(
-        outputs_identical,
-        "kernel variants / thread counts disagree: determinism regression"
-    );
 }
 
 fn timings() {

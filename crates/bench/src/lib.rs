@@ -15,10 +15,9 @@
 //! and budgets), `--seed <u64>`, and `--json <path>` to dump machine-readable
 //! results.
 //!
-//! Criterion benches live in `benches/`: one per table (scaled-down
-//! experiment pipelines) plus `components` (micro-benchmarks of the
-//! substrate: GEMM, group sampling, the group-softmax loss, Dawid–Skene and
-//! GLAD EM).
+//! Timing lives in the standalone `benchmark/` package: end-to-end workloads
+//! plus a per-layer ledger (matmul, sampler, group loss, …) at the trainer's
+//! real shapes.
 
 use rll_eval::experiments::ExperimentScale;
 

@@ -24,7 +24,7 @@
 use crate::error::RllError;
 use crate::Result;
 use rll_tensor::ops;
-use rll_tensor::{debug_assert_finite, kernels, Kernel, Matrix};
+use rll_tensor::{debug_assert_finite, Matrix};
 
 /// Computes the loss and embedding gradients for one group.
 ///
@@ -35,35 +35,16 @@ use rll_tensor::{debug_assert_finite, kernels, Kernel, Matrix};
 /// smoothing hyperparameter `η`.
 ///
 /// Returns `(loss, gradients)` where `gradients` has the same shape as
-/// `embeddings`.
+/// `embeddings`. A NaN anywhere in the scores — e.g. from a NaN embedding —
+/// is a [`rll_tensor::TensorError::NonFinite`] error, never a finite loss.
 ///
-/// Runs on the configured kernel variant (the `RLL_KERNEL` knob): the
-/// `tiled` variant fuses the per-candidate cosine, the softmax, and the
-/// gradient passes into single sweeps over each embedding row, and is
-/// bitwise identical to the scalar composition-of-`ops` oracle — see
-/// [`group_softmax_loss_with`].
+/// The per-candidate cosine, the softmax, and the gradient passes are fused
+/// into single sweeps over each embedding row, bitwise identical to the
+/// composition of `ops` building blocks kept as the test oracle.
 pub fn group_softmax_loss(
     embeddings: &Matrix,
     confidences: &[f64],
     eta: f64,
-) -> Result<(f64, Matrix)> {
-    group_softmax_loss_with(embeddings, confidences, eta, kernels::configured_kernel())
-}
-
-/// [`group_softmax_loss`] with an explicit kernel variant.
-///
-/// The fused path preserves the scalar path's reduction trees exactly: the
-/// dot product and squared-norm accumulate in the same element order as
-/// [`ops::dot`]/[`ops::norm`] (two independent chains in one sweep), the
-/// inline softmax keeps [`ops::softmax`]'s max-fold/exp/sum/normalize order,
-/// and the gradient expressions are verbatim — so `Scalar` and `Tiled`
-/// return byte-identical `(loss, gradients)` (asserted by the tests below
-/// and the trainer's checkpoint byte-compare gate).
-pub fn group_softmax_loss_with(
-    embeddings: &Matrix,
-    confidences: &[f64],
-    eta: f64,
-    kernel: Kernel,
 ) -> Result<(f64, Matrix)> {
     let members = embeddings.rows();
     if members < 3 {
@@ -92,14 +73,12 @@ pub fn group_softmax_loss_with(
             reason: format!("confidence {bad} outside [0, 1]"),
         });
     }
-    match kernel {
-        Kernel::Scalar => loss_scalar(embeddings, confidences, eta),
-        Kernel::Tiled => loss_fused(embeddings, confidences, eta),
-    }
+    loss_fused(embeddings, confidences, eta)
 }
 
-/// The oracle: the loss composed from the `ops::` building blocks, one pass
-/// per quantity.
+/// The test oracle: the loss composed from the `ops::` building blocks, one
+/// pass per quantity.
+#[cfg(test)]
 fn loss_scalar(embeddings: &Matrix, confidences: &[f64], eta: f64) -> Result<(f64, Matrix)> {
     let members = embeddings.rows();
     let candidates = members - 1;
@@ -153,7 +132,10 @@ fn loss_scalar(embeddings: &Matrix, confidences: &[f64], eta: f64) -> Result<(f6
 /// (dot product and squared norm as two independent chains), an inline
 /// softmax, and one sweep per candidate row for both gradient rows.
 ///
-/// Bitwise-identity notes, matched against [`loss_scalar`] term by term:
+/// The dot product and squared norm accumulate in the same element order as
+/// [`ops::dot`]/[`ops::norm`], and the inline softmax keeps
+/// [`ops::softmax`]'s checks and fold/exp/sum/normalize order. Further
+/// bitwise-identity notes, matched against the test oracle term by term:
 /// the anchor norm is computed once and reused (same chain, same bits as
 /// recomputing), each candidate's norm is stashed from the forward sweep
 /// for the gradient sweep, and the gradient expressions keep the oracle's
@@ -191,8 +173,15 @@ fn loss_fused(embeddings: &Matrix, confidences: &[f64], eta: f64) -> Result<(f64
         scores[c] = eta * confidences[c] * r;
     }
 
-    // Inline softmax, preserving ops::softmax's fold/exp/sum/normalize order
-    // (exps and probs reuse the scores buffer in place).
+    // Inline softmax, preserving ops::softmax's checks and
+    // fold/exp/sum/normalize order (exps and probs reuse the scores buffer
+    // in place). The NaN check must come first: the max fold skips NaN.
+    if scores.iter().any(|s| s.is_nan()) {
+        return Err(RllError::Tensor(rll_tensor::TensorError::NonFinite {
+            op: "softmax",
+            reason: "an input is NaN",
+        }));
+    }
     let m = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     if m.is_infinite() && m < 0.0 {
         return Err(RllError::Tensor(rll_tensor::TensorError::NonFinite {
@@ -309,25 +298,27 @@ mod tests {
 
     #[test]
     fn gradient_matches_finite_differences() {
-        let emb = random_group(5, 4, 1);
-        let conf = [0.9, 0.7, 0.8, 0.6];
-        let eta = 8.0;
-        let (_, grads) = group_softmax_loss(&emb, &conf, eta).unwrap();
-        let eps = 1e-6;
-        for r in 0..emb.rows() {
-            for c in 0..emb.cols() {
-                let mut up = emb.clone();
-                up.set(r, c, emb.get(r, c).unwrap() + eps).unwrap();
-                let mut down = emb.clone();
-                down.set(r, c, emb.get(r, c).unwrap() - eps).unwrap();
-                let lu = group_softmax_loss(&up, &conf, eta).unwrap().0;
-                let ld = group_softmax_loss(&down, &conf, eta).unwrap().0;
-                let numeric = (lu - ld) / (2.0 * eps);
-                let analytic = grads.get(r, c).unwrap();
-                assert!(
-                    (numeric - analytic).abs() < 1e-4,
-                    "grad[{r}][{c}]: analytic {analytic} vs numeric {numeric}"
-                );
+        for seed in [1, 21] {
+            let emb = random_group(5, 4, seed);
+            let conf = [0.9, 0.7, 0.8, 0.6];
+            let eta = 8.0;
+            let (_, grads) = group_softmax_loss(&emb, &conf, eta).unwrap();
+            let eps = 1e-6;
+            for r in 0..emb.rows() {
+                for c in 0..emb.cols() {
+                    let mut up = emb.clone();
+                    up.set(r, c, emb.get(r, c).unwrap() + eps).unwrap();
+                    let mut down = emb.clone();
+                    down.set(r, c, emb.get(r, c).unwrap() - eps).unwrap();
+                    let lu = group_softmax_loss(&up, &conf, eta).unwrap().0;
+                    let ld = group_softmax_loss(&down, &conf, eta).unwrap().0;
+                    let numeric = (lu - ld) / (2.0 * eps);
+                    let analytic = grads.get(r, c).unwrap();
+                    assert!(
+                        (numeric - analytic).abs() < 1e-4,
+                        "seed {seed} grad[{r}][{c}]: analytic {analytic} vs numeric {numeric}"
+                    );
+                }
             }
         }
     }
@@ -412,10 +403,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_kernel_is_bitwise_scalar() {
-        // The tiled loss kernel must reproduce the scalar oracle exactly —
-        // same bits, not just close — across group sizes, dims, and
-        // confidence patterns (including exact 0/1 confidences).
+    fn fused_kernel_is_bitwise_oracle() {
+        // The fused loss kernel must reproduce the composition-of-`ops`
+        // oracle exactly — same bits, not just close — across group sizes,
+        // dims, and confidence patterns (including exact 0/1 confidences).
         for seed in 0..20 {
             let members = 3 + (seed as usize % 5);
             let dim = 1 + (seed as usize % 7);
@@ -430,8 +421,8 @@ mod tests {
                 };
             }
             let eta = 0.5 + (seed as f64) * 1.7;
-            let (ls, gs) = group_softmax_loss_with(&emb, &conf, eta, Kernel::Scalar).unwrap();
-            let (lf, gf) = group_softmax_loss_with(&emb, &conf, eta, Kernel::Tiled).unwrap();
+            let (ls, gs) = loss_scalar(&emb, &conf, eta).unwrap();
+            let (lf, gf) = group_softmax_loss(&emb, &conf, eta).unwrap();
             assert_eq!(ls.to_bits(), lf.to_bits(), "loss bits, seed {seed}");
             assert_eq!(gs, gf, "gradient bits, seed {seed}");
         }
@@ -446,40 +437,43 @@ mod tests {
             vec![-1.0, 0.2],
         ])
         .unwrap();
-        let (ls, gs) = group_softmax_loss_with(&emb, &[1.0, 0.8], 9.0, Kernel::Scalar).unwrap();
-        let (lf, gf) = group_softmax_loss_with(&emb, &[1.0, 0.8], 9.0, Kernel::Tiled).unwrap();
+        let (ls, gs) = loss_scalar(&emb, &[1.0, 0.8], 9.0).unwrap();
+        let (lf, gf) = group_softmax_loss(&emb, &[1.0, 0.8], 9.0).unwrap();
         assert_eq!(ls.to_bits(), lf.to_bits());
         assert_eq!(gs, gf);
     }
 
     #[test]
-    fn gradient_matches_finite_differences_fused() {
-        // Gradcheck stays green through the fused kernel, not just the
-        // scalar oracle.
-        let emb = random_group(5, 4, 21);
+    fn nan_embeddings_are_typed_errors() {
+        // f64::max skips NaN, and the loss clamps probs[0] with
+        // `max(1e-300)`: without an explicit check a NaN score comes out as
+        // a finite loss (690.7755… = -ln 1e-300) with NaN gradients, and a
+        // NaN anchor looks like a -inf maximum.
+        let want = RllError::Tensor(rll_tensor::TensorError::NonFinite {
+            op: "softmax",
+            reason: "an input is NaN",
+        });
         let conf = [0.9, 0.7, 0.8, 0.6];
-        let eta = 8.0;
-        let (_, grads) = group_softmax_loss_with(&emb, &conf, eta, Kernel::Tiled).unwrap();
-        let eps = 1e-6;
-        for r in 0..emb.rows() {
-            for c in 0..emb.cols() {
-                let mut up = emb.clone();
-                up.set(r, c, emb.get(r, c).unwrap() + eps).unwrap();
-                let mut down = emb.clone();
-                down.set(r, c, emb.get(r, c).unwrap() - eps).unwrap();
-                let lu = group_softmax_loss_with(&up, &conf, eta, Kernel::Tiled)
-                    .unwrap()
-                    .0;
-                let ld = group_softmax_loss_with(&down, &conf, eta, Kernel::Tiled)
-                    .unwrap()
-                    .0;
-                let numeric = (lu - ld) / (2.0 * eps);
-                let analytic = grads.get(r, c).unwrap();
-                assert!(
-                    (numeric - analytic).abs() < 1e-4,
-                    "fused grad[{r}][{c}]: analytic {analytic} vs numeric {numeric}"
-                );
-            }
+        let mut nan_candidate = random_group(5, 4, 30);
+        nan_candidate.set(3, 2, f64::NAN).unwrap();
+        let mut nan_anchor = random_group(5, 4, 31);
+        nan_anchor.set(0, 1, f64::NAN).unwrap();
+        let all_nan = Matrix::from_fn(5, 4, |_, _| f64::NAN);
+        for (name, emb) in [
+            ("NaN candidate", nan_candidate),
+            ("NaN anchor", nan_anchor),
+            ("all NaN", all_nan),
+        ] {
+            assert_eq!(
+                group_softmax_loss(&emb, &conf, 8.0).unwrap_err(),
+                want,
+                "{name}: fused"
+            );
+            assert_eq!(
+                loss_scalar(&emb, &conf, 8.0).unwrap_err(),
+                want,
+                "{name}: oracle"
+            );
         }
     }
 

@@ -62,8 +62,8 @@ pub const RULES: &[Rule] = &[
                   order, and `mul_add(` contracts `a*b + c` with a single rounding — both \
                   change float reduction bits",
         hint: "collect per-shard partials with `rll_par::map_ordered`/`try_map_ordered` and \
-               fold them in shard-index order after the join; write `a * b + c` out so scalar \
-               and tiled kernels round identically (the RLL_KERNEL byte contract)",
+               fold them in shard-index order after the join; write `a * b + c` out so the \
+               tiled kernels and the test oracle round identically (the kernel byte contract)",
     },
     Rule {
         id: "no-untimed-handler",
@@ -234,10 +234,10 @@ fn scan_panic(code: &[String]) -> Vec<Hit> {
 ///
 /// Also flags `.mul_add(` anywhere in scope: a fused multiply-add rounds
 /// `a*b + c` **once**, where the plain expression rounds twice. The tiled
-/// kernels in `rll-tensor` stay byte-identical to the scalar oracle precisely
+/// kernels in `rll-tensor` stay byte-identical to the test oracle precisely
 /// because both spell out `a * b + c` (rustc never auto-contracts); one
-/// `mul_add` in an accumulation chain silently breaks the `RLL_KERNEL`
-/// contract while looking like an innocent speedup.
+/// `mul_add` in an accumulation chain silently breaks the tiled-kernels vs
+/// test-oracle contract while looking like an innocent speedup.
 fn scan_unordered_reduce(code: &[String]) -> Vec<Hit> {
     let mut hits = Vec::new();
     for (li, line) in code.iter().enumerate() {

@@ -1,22 +1,27 @@
 //! The "zero-cost when disabled" contract of [`rll_obs::TraceCtx`].
 //!
 //! Lives in its own integration-test binary because it installs a counting
-//! `#[global_allocator]`; sharing a binary with other tests would make the
-//! counters racy.
+//! `#[global_allocator]`. The count is per thread: the test harness runs the
+//! other test and its own result reporting on other threads, and their
+//! allocations must not land in the measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use rll_obs::{Event, MemorySink, Phase, Recorder, TraceCtx};
 
-struct CountingAllocator {
-    allocations: AtomicU64,
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocations.fetch_add(1, Ordering::SeqCst);
+        // `try_with`: a const-initialized `Cell` has no destructor, but never
+        // panic inside the allocator.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -26,12 +31,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 }
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator {
-    allocations: AtomicU64::new(0),
-};
+static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocation_count() -> u64 {
-    GLOBAL.allocations.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]

@@ -1,101 +1,26 @@
 //! Register-tiled matmul kernels with a bitwise-determinism contract.
 //!
-//! Two implementations back every matmul entry point on [`crate::Matrix`]:
-//!
-//! * [`Kernel::Scalar`] — the original straight-line loops, kept verbatim as
-//!   the oracle.
-//! * [`Kernel::Tiled`] — register-blocked micro-kernels that unroll 4–8
-//!   output elements wide so the compiler's vectorizer has independent
-//!   accumulator lanes to work with.
-//!
-//! The selection knob is the `RLL_KERNEL` environment variable
-//! ([`KERNEL_ENV_VAR`], values `scalar`/`tiled`, default `tiled`), read once
-//! per process like `RLL_THREADS`.
+//! Every matmul entry point on [`crate::Matrix`] runs the register-blocked
+//! micro-kernels below: they unroll 4–8 output elements wide so the
+//! compiler's vectorizer has independent accumulator lanes to work with.
 //!
 //! # The fixed-reduction-tree contract
 //!
 //! Float addition is not associative, so "same math, different order" means
 //! different bits — and the workspace's credibility rests on byte-identical
-//! checkpoints across thread counts *and* kernel variants. Both kernels
-//! therefore compute every output element with **exactly one accumulator
-//! that folds the `k` products in ascending-`p` order, starting from
-//! `+0.0`** — the same reduction tree as the serial loop. The tiled kernels
-//! never split a dot product into partial lanes; they vectorize *across*
-//! output elements instead: an `MR x NR` register tile holds `MR·NR`
-//! independent chains and advances all of them one `p` step at a time. That
-//! makes `tiled` equal to `scalar` bit-for-bit by construction (asserted by
-//! the property tests in `tests/par_matmul.rs`), while still reusing every
-//! loaded `a`/`b` value across the tile and keeping the accumulators out of
-//! memory. Thread-count invariance comes for free: row-block partitioning
-//! ([`rll_par::for_each_row_block`]) never changes per-element arithmetic.
-//!
-//! # The exact-zero sparsity skip and NaN correctness
-//!
-//! The scalar `nn`/`tn` kernels skip lhs values that are exactly `±0.0`
-//! (ReLU activations produce long runs of them). Skipping is bitwise
-//! equivalent to dense accumulation **only when the rhs is finite**: the
-//! accumulator starts at `+0.0` and can never become `-0.0` (an exact
-//! cancellation rounds to `+0.0` under round-to-nearest, and adding `±0.0`
-//! to `+0.0` yields `+0.0`), so a skipped `±0.0 · finite` term — itself
-//! `±0.0` — never changes the chain. With a non-finite rhs the equivalence
-//! breaks (`0.0 · NaN` is NaN and `0.0 · ±inf` is NaN, which IEEE 754
-//! requires to propagate), so [`zero_skip_allowed`] arms the skip only when
-//! the lhs actually contains a zero *and* the rhs is entirely finite. The
-//! tiled kernels always run dense; the gate keeps the scalar oracle both
-//! NaN-correct and bit-identical to them.
-
-use std::sync::OnceLock;
-
-/// Environment variable selecting the kernel implementation
-/// (`scalar` | `tiled`).
-pub const KERNEL_ENV_VAR: &str = "RLL_KERNEL";
-
-/// Which matmul/loss kernel implementation to run. Results are bitwise
-/// identical either way — see the module docs — so the knob trades
-/// wall-clock time only (`Tiled` is faster; `Scalar` is the oracle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
-    /// Straight-line reference loops: the oracle every variant is compared
-    /// against.
-    Scalar,
-    /// Register-blocked micro-kernels with the same per-element reduction
-    /// trees.
-    Tiled,
-}
-
-impl Kernel {
-    /// The knob value naming this variant.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Kernel::Scalar => "scalar",
-            Kernel::Tiled => "tiled",
-        }
-    }
-}
-
-/// Parses an `RLL_KERNEL`-style override. Returns `None` for anything other
-/// than `scalar`/`tiled` (case-insensitive).
-pub fn parse_kernel_override(value: &str) -> Option<Kernel> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "scalar" => Some(Kernel::Scalar),
-        "tiled" => Some(Kernel::Tiled),
-        _ => None,
-    }
-}
-
-/// The configured kernel variant: `RLL_KERNEL` when set to a recognized
-/// value, otherwise [`Kernel::Tiled`]. Cached after the first read so a run
-/// uses one consistent variant throughout.
-pub fn configured_kernel() -> Kernel {
-    static CONFIGURED: OnceLock<Kernel> = OnceLock::new();
-    *CONFIGURED.get_or_init(|| {
-        std::env::var(KERNEL_ENV_VAR)
-            .ok()
-            .as_deref()
-            .and_then(parse_kernel_override)
-            .unwrap_or(Kernel::Tiled)
-    })
-}
+//! checkpoints across thread counts. The kernels therefore compute every
+//! output element with **exactly one accumulator that folds the `k` products
+//! in ascending-`p` order, starting from `+0.0`** — the reduction tree of the
+//! plain dense triple loop. They never split a dot product into partial
+//! lanes; they vectorize *across* output elements instead: an `MR x NR`
+//! register tile holds `MR·NR` independent chains and advances all of them
+//! one `p` step at a time. That makes them equal to the dense triple loop
+//! bit-for-bit by construction (asserted against a test oracle in
+//! `tests/par_matmul.rs`, NaN/±inf operands included), while still reusing
+//! every loaded `a`/`b` value across the tile and keeping the accumulators
+//! out of memory. Thread-count invariance comes for free: row-block
+//! partitioning ([`rll_par::for_each_row_block`]) never changes per-element
+//! arithmetic.
 
 /// True when the running CPU supports AVX; cached by the detection macro.
 /// The tiled kernels then route through [`avx`]'s `target_feature` wrappers,
@@ -159,17 +84,6 @@ const NT_MR: usize = 2;
 /// Columns per register tile for the `nt` kernel.
 const NT_NR: usize = 4;
 
-/// True when the scalar kernels may take the exact-zero sparsity skip: the
-/// lhs contains at least one `±0.0` (otherwise the skip is dead weight) and
-/// the rhs is entirely finite (otherwise skipping would swallow the NaN that
-/// `0.0 · NaN` / `0.0 · inf` must produce). See the module docs for the
-/// bitwise-equivalence argument.
-fn zero_skip_allowed(lhs: &[f64], rhs: &[f64]) -> bool {
-    // `contains(&0.0)` is an exact-zero membership test (`-0.0 == 0.0`, so
-    // it finds both signs); every other value multiplies normally.
-    lhs.contains(&0.0) && rhs.iter().all(|x| x.is_finite())
-}
-
 // ----------------------------------------------------------------------
 // nn: out[i][j] = Σ_p a[i][p] · b[p][j]   (a: m x k, b: k x n)
 // ----------------------------------------------------------------------
@@ -181,7 +95,6 @@ fn zero_skip_allowed(lhs: &[f64], rhs: &[f64]) -> bool {
 /// chain completes — exactly the arithmetic of a separate
 /// matmul-then-broadcast pass, fused here to skip the intermediate
 /// allocation and copy.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_nn(
     a: &[f64],
     b: &[f64],
@@ -190,7 +103,6 @@ pub(crate) fn matmul_nn(
     k: usize,
     n: usize,
     threads: usize,
-    kernel: Kernel,
 ) {
     if n == 0 {
         return;
@@ -205,13 +117,8 @@ pub(crate) fn matmul_nn(
         }
         return;
     }
-    let skip_zeros = kernel == Kernel::Scalar && zero_skip_allowed(a, b);
     rll_par::for_each_row_block(out, n, threads, |rows, block| {
-        let a_block = &a[rows.start * k..rows.end * k];
-        match kernel {
-            Kernel::Scalar => nn_scalar(a_block, b, block, k, n, skip_zeros),
-            Kernel::Tiled => nn_tiled(a_block, b, block, k, n),
-        }
+        nn_tiled(&a[rows.start * k..rows.end * k], b, block, k, n);
         if let Some(bias) = bias {
             for out_row in block.chunks_exact_mut(n) {
                 add_bias_row(out_row, bias);
@@ -224,22 +131,6 @@ pub(crate) fn matmul_nn(
 fn add_bias_row(out_row: &mut [f64], bias: &[f64]) {
     for (o, &bv) in out_row.iter_mut().zip(bias) {
         *o += bv;
-    }
-}
-
-fn nn_scalar(a: &[f64], b: &[f64], out: &mut [f64], k: usize, n: usize, skip_zeros: bool) {
-    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        for (p, &av) in a_row.iter().enumerate() {
-            // lint: allow(no-float-eq) — exact-zero sparsity skip, armed only
-            // when `zero_skip_allowed` proved it bitwise-safe.
-            if skip_zeros && av == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
     }
 }
 
@@ -296,7 +187,7 @@ fn nn_tiled_body(a: &[f64], b: &[f64], out: &mut [f64], k: usize, n: usize) {
         }
         i += MR;
     }
-    // Row tail: the dense scalar row loop (same chains, no skip).
+    // Row tail: the dense row loop (same chains).
     for ii in i..rows {
         let a_row = &a[ii * k..(ii + 1) * k];
         let out_row = &mut out[ii * n..(ii + 1) * n];
@@ -315,7 +206,6 @@ fn nn_tiled_body(a: &[f64], b: &[f64], out: &mut [f64], k: usize, n: usize) {
 
 /// `out = aᵀ · b` without materializing the transpose; `a` is `k x m`
 /// accessed column-wise, `out` is `m x n` pre-zeroed.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_tn(
     a: &[f64],
     b: &[f64],
@@ -324,44 +214,13 @@ pub(crate) fn matmul_tn(
     k: usize,
     n: usize,
     threads: usize,
-    kernel: Kernel,
 ) {
     if k == 0 || n == 0 {
         return;
     }
-    let skip_zeros = kernel == Kernel::Scalar && zero_skip_allowed(a, b);
-    rll_par::for_each_row_block(out, n, threads, |rows, block| match kernel {
-        Kernel::Scalar => tn_scalar(a, b, block, rows, m, k, n, skip_zeros),
-        Kernel::Tiled => tn_tiled(a, b, block, rows, m, k, n),
+    rll_par::for_each_row_block(out, n, threads, |rows, block| {
+        tn_tiled(a, b, block, rows, m, k, n)
     });
-}
-
-#[allow(clippy::too_many_arguments)]
-fn tn_scalar(
-    a: &[f64],
-    b: &[f64],
-    block: &mut [f64],
-    rows: std::ops::Range<usize>,
-    m: usize,
-    k: usize,
-    n: usize,
-    skip_zeros: bool,
-) {
-    for (local, i) in rows.enumerate() {
-        let out_row = &mut block[local * n..(local + 1) * n];
-        for p in 0..k {
-            let av = a[p * m + i];
-            // lint: allow(no-float-eq) — exact-zero sparsity skip, armed only
-            // when `zero_skip_allowed` proved it bitwise-safe.
-            if skip_zeros && av == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
 }
 
 fn tn_tiled(
@@ -447,43 +306,15 @@ fn tn_tiled_body(
 
 /// `out = a · bᵀ` without materializing the transpose; every output element
 /// is one contiguous dot product.
-pub(crate) fn matmul_nt(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    k: usize,
-    n: usize,
-    threads: usize,
-    kernel: Kernel,
-) {
-    if n == 0 {
-        return;
-    }
-    if k == 0 {
+pub(crate) fn matmul_nt(a: &[f64], b: &[f64], out: &mut [f64], k: usize, n: usize, threads: usize) {
+    if k == 0 || n == 0 {
         // Every element is an empty dot product: exactly the zeros already
-        // in `out` (and `chunks_exact(0)` below would panic).
+        // in `out`.
         return;
     }
     rll_par::for_each_row_block(out, n, threads, |rows, block| {
-        let a_block = &a[rows.start * k..rows.end * k];
-        match kernel {
-            Kernel::Scalar => nt_scalar(a_block, b, block, k, n),
-            Kernel::Tiled => nt_tiled(a_block, b, block, k, n),
-        }
+        nt_tiled(&a[rows.start * k..rows.end * k], b, block, k, n)
     });
-}
-
-fn nt_scalar(a: &[f64], b: &[f64], out: &mut [f64], k: usize, n: usize) {
-    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0;
-            for (&x, &y) in a_row.iter().zip(b_row) {
-                acc += x * y;
-            }
-            *o = acc;
-        }
-    }
 }
 
 fn nt_tiled(a: &[f64], b: &[f64], out: &mut [f64], k: usize, n: usize) {
@@ -550,38 +381,5 @@ fn nt_tiled_body(a: &[f64], b: &[f64], out: &mut [f64], k: usize, n: usize) {
             }
             *o = acc;
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_override_values() {
-        assert_eq!(parse_kernel_override("scalar"), Some(Kernel::Scalar));
-        assert_eq!(parse_kernel_override(" Tiled \n"), Some(Kernel::Tiled));
-        assert_eq!(parse_kernel_override("TILED"), Some(Kernel::Tiled));
-        assert_eq!(parse_kernel_override("simd"), None);
-        assert_eq!(parse_kernel_override(""), None);
-    }
-
-    #[test]
-    fn kernel_names_round_trip() {
-        for kernel in [Kernel::Scalar, Kernel::Tiled] {
-            assert_eq!(parse_kernel_override(kernel.as_str()), Some(kernel));
-        }
-    }
-
-    #[test]
-    fn zero_skip_gate() {
-        assert!(zero_skip_allowed(&[0.0, 1.0], &[1.0, 2.0]));
-        assert!(zero_skip_allowed(&[-0.0], &[1.0]));
-        // No zero in the lhs: the skip is dead weight, leave it off.
-        assert!(!zero_skip_allowed(&[1.0, 2.0], &[3.0]));
-        // Non-finite rhs: skipping would swallow the mandated NaN.
-        assert!(!zero_skip_allowed(&[0.0, 1.0], &[f64::NAN]));
-        assert!(!zero_skip_allowed(&[0.0, 1.0], &[f64::INFINITY, 1.0]));
-        assert!(!zero_skip_allowed(&[0.0, 1.0], &[1.0, f64::NEG_INFINITY]));
     }
 }

@@ -26,14 +26,13 @@ pub mod error;
 pub mod finite;
 pub mod hash;
 pub mod init;
-pub mod kernels;
+mod kernels;
 pub mod matrix;
 pub mod ops;
 pub mod rng;
 pub mod stats;
 
 pub use error::TensorError;
-pub use kernels::Kernel;
 pub use matrix::Matrix;
 pub use rng::{Rng64, Rng64State};
 

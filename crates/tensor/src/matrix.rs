@@ -6,7 +6,7 @@
 //! `n x 1` matrices, or plain slices for the kernels in [`crate::ops`]).
 
 use crate::error::TensorError;
-use crate::kernels::{self, Kernel};
+use crate::kernels;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -484,34 +484,22 @@ impl Matrix {
 
     /// Matrix product `self * other`.
     ///
-    /// Runs on the configured kernel variant
-    /// ([`crate::kernels::configured_kernel`], the `RLL_KERNEL` knob); large
-    /// products are row-blocked across [`rll_par::configured_threads`]
-    /// workers. See [`Self::matmul_with`] for the determinism contract.
+    /// Large products are row-blocked across
+    /// [`rll_par::configured_threads`] workers. See
+    /// [`Self::matmul_with_threads`] for the determinism contract.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        self.matmul_with(
-            other,
-            par_threads_for(self.rows, self.cols, other.cols),
-            kernels::configured_kernel(),
-        )
+        self.matmul_with_threads(other, par_threads_for(self.rows, self.cols, other.cols))
     }
 
     /// [`Self::matmul`] with an explicit worker-thread count (no size
     /// heuristic — the caller decides).
-    pub fn matmul_with_threads(&self, other: &Matrix, threads: usize) -> Result<Matrix> {
-        self.matmul_with(other, threads, kernels::configured_kernel())
-    }
-
-    /// [`Self::matmul`] with an explicit worker-thread count **and** kernel
-    /// variant.
     ///
-    /// Bitwise-deterministic on both axes: output rows are partitioned into
-    /// contiguous blocks and every element is produced by exactly one worker
-    /// running the same single-accumulator, ascending-`p` reduction chain as
-    /// the serial scalar loop (see [`crate::kernels`]), so the result is
-    /// identical for every `threads` value (including 1) and for every
-    /// [`Kernel`].
-    pub fn matmul_with(&self, other: &Matrix, threads: usize, kernel: Kernel) -> Result<Matrix> {
+    /// Bitwise-deterministic: output rows are partitioned into contiguous
+    /// blocks and every element is produced by exactly one worker running
+    /// the single-accumulator, ascending-`p` reduction chain of the serial
+    /// dense loop (DESIGN.md §17), so the result is identical for
+    /// every `threads` value (including 1).
+    pub fn matmul_with_threads(&self, other: &Matrix, threads: usize) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(TensorError::ShapeMismatch {
                 op: "matmul",
@@ -529,7 +517,6 @@ impl Matrix {
             k,
             n,
             threads.max(1),
-            kernel,
         );
         Ok(Matrix {
             rows: m,
@@ -544,22 +531,19 @@ impl Matrix {
     /// without materializing the intermediate product. This is the affine
     /// layer's hot path.
     pub fn matmul_bias(&self, other: &Matrix, bias: &Matrix) -> Result<Matrix> {
-        self.matmul_bias_with(
+        self.matmul_bias_with_threads(
             other,
             bias,
             par_threads_for(self.rows, self.cols, other.cols),
-            kernels::configured_kernel(),
         )
     }
 
-    /// [`Self::matmul_bias`] with an explicit worker-thread count and kernel
-    /// variant.
-    pub fn matmul_bias_with(
+    /// [`Self::matmul_bias`] with an explicit worker-thread count.
+    pub fn matmul_bias_with_threads(
         &self,
         other: &Matrix,
         bias: &Matrix,
         threads: usize,
-        kernel: Kernel,
     ) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(TensorError::ShapeMismatch {
@@ -585,7 +569,6 @@ impl Matrix {
             k,
             n,
             threads.max(1),
-            kernel,
         );
         Ok(Matrix {
             rows: m,
@@ -597,23 +580,13 @@ impl Matrix {
     /// Computes `self^T * other` without materializing the transpose. Large
     /// products are row-blocked like [`Self::matmul`].
     pub fn matmul_tn(&self, other: &Matrix) -> Result<Matrix> {
-        self.matmul_tn_with(
-            other,
-            par_threads_for(self.rows, self.cols, other.cols),
-            kernels::configured_kernel(),
-        )
+        self.matmul_tn_with_threads(other, par_threads_for(self.rows, self.cols, other.cols))
     }
 
-    /// [`Self::matmul_tn`] with an explicit worker-thread count.
+    /// [`Self::matmul_tn`] with an explicit worker-thread count; bitwise
+    /// identical for every count (each output element accumulates over `p`
+    /// in the same ascending order as the serial dense loop).
     pub fn matmul_tn_with_threads(&self, other: &Matrix, threads: usize) -> Result<Matrix> {
-        self.matmul_tn_with(other, threads, kernels::configured_kernel())
-    }
-
-    /// [`Self::matmul_tn`] with an explicit worker-thread count and kernel
-    /// variant; bitwise identical for every combination (each output element
-    /// accumulates over `p` in the same ascending order as the serial scalar
-    /// kernel).
-    pub fn matmul_tn_with(&self, other: &Matrix, threads: usize, kernel: Kernel) -> Result<Matrix> {
         if self.rows != other.rows {
             return Err(TensorError::ShapeMismatch {
                 op: "matmul_tn",
@@ -623,16 +596,7 @@ impl Matrix {
         }
         let (k, m, n) = (self.rows, self.cols, other.cols);
         let mut out = vec![0.0; m * n];
-        kernels::matmul_tn(
-            &self.data,
-            &other.data,
-            &mut out,
-            m,
-            k,
-            n,
-            threads.max(1),
-            kernel,
-        );
+        kernels::matmul_tn(&self.data, &other.data, &mut out, m, k, n, threads.max(1));
         Ok(Matrix {
             rows: m,
             cols: n,
@@ -643,22 +607,13 @@ impl Matrix {
     /// Computes `self * other^T` without materializing the transpose. Large
     /// products are row-blocked like [`Self::matmul`].
     pub fn matmul_nt(&self, other: &Matrix) -> Result<Matrix> {
-        self.matmul_nt_with(
-            other,
-            par_threads_for(self.rows, self.cols, other.rows),
-            kernels::configured_kernel(),
-        )
+        self.matmul_nt_with_threads(other, par_threads_for(self.rows, self.cols, other.rows))
     }
 
-    /// [`Self::matmul_nt`] with an explicit worker-thread count.
+    /// [`Self::matmul_nt`] with an explicit worker-thread count; bitwise
+    /// identical for every count (each output element is one serial dot
+    /// product owned by a single worker).
     pub fn matmul_nt_with_threads(&self, other: &Matrix, threads: usize) -> Result<Matrix> {
-        self.matmul_nt_with(other, threads, kernels::configured_kernel())
-    }
-
-    /// [`Self::matmul_nt`] with an explicit worker-thread count and kernel
-    /// variant; bitwise identical for every combination (each output element
-    /// is one serial dot product owned by a single worker).
-    pub fn matmul_nt_with(&self, other: &Matrix, threads: usize, kernel: Kernel) -> Result<Matrix> {
         if self.cols != other.cols {
             return Err(TensorError::ShapeMismatch {
                 op: "matmul_nt",
@@ -668,15 +623,7 @@ impl Matrix {
         }
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let mut out = vec![0.0; m * n];
-        kernels::matmul_nt(
-            &self.data,
-            &other.data,
-            &mut out,
-            k,
-            n,
-            threads.max(1),
-            kernel,
-        );
+        kernels::matmul_nt(&self.data, &other.data, &mut out, k, n, threads.max(1));
         Ok(Matrix {
             rows: m,
             cols: n,

@@ -77,13 +77,20 @@ pub fn log_sum_exp(xs: &[f64]) -> Result<f64> {
 /// invariant to adding a constant to every input.
 ///
 /// Individual `-inf` entries are fine (their probability is exactly `0.0`),
-/// but when the *maximum* is `-inf` — every entry is `-inf`, or the inputs
-/// are all `NaN`/`-inf` — there is no distribution to normalize: the shifted
-/// exponentials would all be `exp(-inf - -inf) = NaN`. That case returns
-/// [`TensorError::NonFinite`] instead of a silent all-NaN vector.
+/// but two inputs admit no distribution and return
+/// [`TensorError::NonFinite`] instead of silent NaNs: any `NaN` entry (the
+/// max fold below skips NaN, so it would otherwise surface only as NaN
+/// outputs), and a maximum of `-inf`, where the shifted exponentials would
+/// all be `exp(-inf - -inf) = NaN`.
 pub fn softmax(xs: &[f64]) -> Result<Vec<f64>> {
     if xs.is_empty() {
         return Err(TensorError::Empty { op: "softmax" });
+    }
+    if xs.iter().any(|x| x.is_nan()) {
+        return Err(TensorError::NonFinite {
+            op: "softmax",
+            reason: "an input is NaN",
+        });
     }
     let m = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     if m.is_infinite() && m < 0.0 {
@@ -241,6 +248,30 @@ mod tests {
         // Single-element -inf hits the same degenerate case.
         let err = softmax(&[f64::NEG_INFINITY]).unwrap_err();
         assert!(matches!(err, TensorError::NonFinite { op: "softmax", .. }));
+    }
+
+    #[test]
+    fn softmax_nan_is_typed_error() {
+        // f64::max skips NaN: without an explicit check a NaN input slips
+        // past the max fold into an all-NaN vector, and all-NaN input looks
+        // like a -inf maximum.
+        let nan = f64::NAN;
+        for xs in [
+            vec![nan, 0.5, 0.3],
+            vec![0.5, nan, 0.3],
+            vec![nan, nan, nan],
+            vec![nan],
+            vec![f64::NEG_INFINITY, nan],
+        ] {
+            assert_eq!(
+                softmax(&xs).unwrap_err(),
+                TensorError::NonFinite {
+                    op: "softmax",
+                    reason: "an input is NaN",
+                },
+                "{xs:?}"
+            );
+        }
     }
 
     #[test]

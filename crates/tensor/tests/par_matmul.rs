@@ -2,9 +2,49 @@
 //! not within a tolerance — for every thread count and for ragged shapes
 //! whose row counts do not divide evenly across workers. This is the
 //! foundation the trainer's any-thread-count reproducibility stands on.
+//!
+//! The tiled kernels are also checked bit for bit against the dense triple
+//! loops below: one accumulator per output element, starting at `+0.0`,
+//! folding the products in ascending-`p` order, with no zero-skip.
 
 use proptest::prelude::*;
-use rll_tensor::{Kernel, Matrix};
+use rll_tensor::Matrix;
+
+/// Oracle for `a · b`.
+fn oracle_nn(a: &Matrix, b: &Matrix) -> Matrix {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    Matrix::from_fn(m, n, |i, j| {
+        let mut acc = 0.0;
+        for p in 0..k {
+            acc += a.get(i, p).unwrap() * b.get(p, j).unwrap();
+        }
+        acc
+    })
+}
+
+/// Oracle for `aᵀ · b`.
+fn oracle_tn(a: &Matrix, b: &Matrix) -> Matrix {
+    let (k, m, n) = (a.rows(), a.cols(), b.cols());
+    Matrix::from_fn(m, n, |i, j| {
+        let mut acc = 0.0;
+        for p in 0..k {
+            acc += a.get(p, i).unwrap() * b.get(p, j).unwrap();
+        }
+        acc
+    })
+}
+
+/// Oracle for `a · bᵀ`.
+fn oracle_nt(a: &Matrix, b: &Matrix) -> Matrix {
+    let (m, k, n) = (a.rows(), a.cols(), b.rows());
+    Matrix::from_fn(m, n, |i, j| {
+        let mut acc = 0.0;
+        for p in 0..k {
+            acc += a.get(i, p).unwrap() * b.get(j, p).unwrap();
+        }
+        acc
+    })
+}
 
 /// Element bits, for comparisons that must treat equal-bit NaNs as equal
 /// (`Matrix`'s `PartialEq` uses float `==`, which NaN breaks).
@@ -13,11 +53,11 @@ fn bits(m: &Matrix) -> Vec<u64> {
 }
 
 /// Strategy: a multiplication-compatible pair with ragged shapes (including
-/// rows ≪ threads and rows that leave a remainder chunk) and values that
-/// exercise the exact-zero sparsity skip.
+/// rows ≪ threads and rows that leave a remainder chunk) and runs of exact
+/// zeros, as ReLU activations produce.
 fn ragged_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
     (1usize..=17, 1usize..=9, 1usize..=13).prop_flat_map(|(m, k, n)| {
-        // Snap ~20% of draws to exact 0.0 so the sparsity skip is exercised.
+        // Snap ~20% of draws to exact 0.0.
         fn sparse(x: f64) -> f64 {
             if x.abs() < 2.0 {
                 0.0
@@ -70,28 +110,23 @@ proptest! {
 }
 
 proptest! {
-    // The tiled kernel must be bitwise identical to the scalar oracle for
+    // The tiled kernels must be bitwise identical to the dense oracle for
     // every variant x thread count, on shapes that exercise every tile
     // tail (ragged rows, ragged columns, rows ≪ MR).
     #[test]
-    fn tiled_is_bitwise_scalar_all_variants((a, b) in ragged_pair()) {
-        let oracle_nn = a.matmul_with(&b, 1, Kernel::Scalar).unwrap();
+    fn tiled_is_bitwise_oracle_all_variants((a, b) in ragged_pair()) {
         let at = a.transpose();
-        let oracle_tn = at.matmul_tn_with(&b, 1, Kernel::Scalar).unwrap();
         let bt = b.transpose();
-        let oracle_nt = a.matmul_nt_with(&bt, 1, Kernel::Scalar).unwrap();
+        let want_nn = bits(&oracle_nn(&a, &b));
+        let want_tn = bits(&oracle_tn(&at, &b));
+        let want_nt = bits(&oracle_nt(&a, &bt));
         for threads in [1usize, 2, 4, 8, 16] {
-            for kernel in [Kernel::Scalar, Kernel::Tiled] {
-                let nn = a.matmul_with(&b, threads, kernel).unwrap();
-                prop_assert_eq!(bits(&nn), bits(&oracle_nn),
-                    "nn kernel={:?} threads={}", kernel, threads);
-                let tn = at.matmul_tn_with(&b, threads, kernel).unwrap();
-                prop_assert_eq!(bits(&tn), bits(&oracle_tn),
-                    "tn kernel={:?} threads={}", kernel, threads);
-                let nt = a.matmul_nt_with(&bt, threads, kernel).unwrap();
-                prop_assert_eq!(bits(&nt), bits(&oracle_nt),
-                    "nt kernel={:?} threads={}", kernel, threads);
-            }
+            let nn = a.matmul_with_threads(&b, threads).unwrap();
+            prop_assert_eq!(bits(&nn), want_nn.clone(), "nn threads={}", threads);
+            let tn = at.matmul_tn_with_threads(&b, threads).unwrap();
+            prop_assert_eq!(bits(&tn), want_tn.clone(), "tn threads={}", threads);
+            let nt = a.matmul_nt_with_threads(&bt, threads).unwrap();
+            prop_assert_eq!(bits(&nt), want_nt.clone(), "nt threads={}", threads);
         }
     }
 
@@ -99,17 +134,10 @@ proptest! {
     // matmul-then-add_row_broadcast composition bit-for-bit.
     #[test]
     fn matmul_bias_is_bitwise_two_pass((a, b, bias) in ragged_pair_with_bias()) {
-        let two_pass = a
-            .matmul_with(&b, 1, Kernel::Scalar)
-            .unwrap()
-            .add_row_broadcast(&bias)
-            .unwrap();
+        let two_pass = oracle_nn(&a, &b).add_row_broadcast(&bias).unwrap();
         for threads in [1usize, 3, 8] {
-            for kernel in [Kernel::Scalar, Kernel::Tiled] {
-                let fused = a.matmul_bias_with(&b, &bias, threads, kernel).unwrap();
-                prop_assert_eq!(bits(&fused), bits(&two_pass),
-                    "bias kernel={:?} threads={}", kernel, threads);
-            }
+            let fused = a.matmul_bias_with_threads(&b, &bias, threads).unwrap();
+            prop_assert_eq!(bits(&fused), bits(&two_pass), "bias threads={}", threads);
         }
         prop_assert_eq!(bits(&a.matmul_bias(&b, &bias).unwrap()), bits(&two_pass));
     }
@@ -130,7 +158,7 @@ fn ragged_pair_with_bias() -> impl Strategy<Value = (Matrix, Matrix, Matrix)> {
 }
 
 #[test]
-fn degenerate_shapes_bitwise_across_kernels_and_threads() {
+fn degenerate_shapes_bitwise_oracle_across_threads() {
     // Empty dimensions, single rows/columns, and 1x1 — every tile-loop tail
     // at once. (0-sized operands are legal: the product is the 0-element or
     // all-zero matrix.)
@@ -156,38 +184,36 @@ fn degenerate_shapes_bitwise_across_kernels_and_threads() {
         let b = Matrix::from_vec(k, n, (0..k * n).map(|_| next()).collect()).unwrap();
         let at = a.transpose();
         let bt = b.transpose();
-        let oracle_nn = a.matmul_with(&b, 1, Kernel::Scalar).unwrap();
-        let oracle_tn = at.matmul_tn_with(&b, 1, Kernel::Scalar).unwrap();
-        let oracle_nt = a.matmul_nt_with(&bt, 1, Kernel::Scalar).unwrap();
+        let want_nn = bits(&oracle_nn(&a, &b));
+        let want_tn = bits(&oracle_tn(&at, &b));
+        let want_nt = bits(&oracle_nt(&a, &bt));
         for threads in [1usize, 2, 16] {
-            for kernel in [Kernel::Scalar, Kernel::Tiled] {
-                let ctx = format!("shape {m}x{k}x{n} kernel={kernel:?} threads={threads}");
-                assert_eq!(
-                    bits(&a.matmul_with(&b, threads, kernel).unwrap()),
-                    bits(&oracle_nn),
-                    "nn {ctx}"
-                );
-                assert_eq!(
-                    bits(&at.matmul_tn_with(&b, threads, kernel).unwrap()),
-                    bits(&oracle_tn),
-                    "tn {ctx}"
-                );
-                assert_eq!(
-                    bits(&a.matmul_nt_with(&bt, threads, kernel).unwrap()),
-                    bits(&oracle_nt),
-                    "nt {ctx}"
-                );
-            }
+            let ctx = format!("shape {m}x{k}x{n} threads={threads}");
+            assert_eq!(
+                bits(&a.matmul_with_threads(&b, threads).unwrap()),
+                want_nn,
+                "nn {ctx}"
+            );
+            assert_eq!(
+                bits(&at.matmul_tn_with_threads(&b, threads).unwrap()),
+                want_tn,
+                "tn {ctx}"
+            );
+            assert_eq!(
+                bits(&a.matmul_nt_with_threads(&bt, threads).unwrap()),
+                want_nt,
+                "nt {ctx}"
+            );
         }
     }
 }
 
 #[test]
 fn non_finite_rhs_propagates_past_zero_lhs() {
-    // Regression: the exact-zero sparsity skip used to drop `0.0 · NaN` and
-    // `0.0 · ±inf` terms, silently producing a finite result where IEEE 754
-    // dense semantics require NaN. The lhs zeros below sit exactly where the
-    // rhs is poisoned, so a skipping kernel gets the wrong (finite) answer.
+    // `0.0 · NaN` and `0.0 · ±inf` are NaN, and IEEE 754 dense semantics
+    // require them to propagate. The lhs zeros below sit exactly where the
+    // rhs is poisoned, so a kernel that skipped exact zeros would get a
+    // wrong (finite) answer.
     for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         let a = Matrix::from_vec(
             3,
@@ -203,10 +229,9 @@ fn non_finite_rhs_propagates_past_zero_lhs() {
         b.set(0, 0, poison).unwrap();
         let at = a.transpose();
         let bt = b.transpose();
-        let oracle = a.matmul_with(&b, 1, Kernel::Scalar).unwrap();
-        // Rows whose lhs factor at the poisoned position is exactly 0.0 are
-        // the regression: `0.0 · NaN` and `0.0 · ±inf` are both NaN, which
-        // the old sparsity skip silently replaced with a finite sum.
+        let oracle = oracle_nn(&a, &b);
+        // Rows whose lhs factor at the poisoned position is exactly 0.0 meet
+        // `0.0 · NaN` or `0.0 · ±inf`, both NaN.
         for r in [0usize, 2] {
             assert!(
                 oracle.get(r, 0).unwrap().is_nan(),
@@ -221,33 +246,30 @@ fn non_finite_rhs_propagates_past_zero_lhs() {
         // Columns that never meet the poison stay finite.
         assert!(oracle.get(0, 1).unwrap().is_finite());
         for threads in [1usize, 2, 4, 8] {
-            for kernel in [Kernel::Scalar, Kernel::Tiled] {
-                let ctx = format!("poison {poison} kernel={kernel:?} threads={threads}");
-                assert_eq!(
-                    bits(&a.matmul_with(&b, threads, kernel).unwrap()),
-                    bits(&oracle),
-                    "nn {ctx}"
-                );
-                assert_eq!(
-                    bits(&at.matmul_tn_with(&b, threads, kernel).unwrap()),
-                    bits(&oracle),
-                    "tn {ctx}"
-                );
-                assert_eq!(
-                    bits(&a.matmul_nt_with(&bt, threads, kernel).unwrap()),
-                    bits(&oracle),
-                    "nt {ctx}"
-                );
-            }
+            let ctx = format!("poison {poison} threads={threads}");
+            assert_eq!(
+                bits(&a.matmul_with_threads(&b, threads).unwrap()),
+                bits(&oracle),
+                "nn {ctx}"
+            );
+            assert_eq!(
+                bits(&at.matmul_tn_with_threads(&b, threads).unwrap()),
+                bits(&oracle),
+                "tn {ctx}"
+            );
+            assert_eq!(
+                bits(&a.matmul_nt_with_threads(&bt, threads).unwrap()),
+                bits(&oracle),
+                "nt {ctx}"
+            );
         }
     }
 }
 
 #[test]
-fn non_finite_lhs_propagates_and_matches_across_kernels() {
+fn non_finite_lhs_propagates_and_matches_oracle() {
     // Poison on the *other* side: NaN/inf in the lhs while the rhs carries
-    // the exact zeros. The skip keys on lhs zeros, so these were never
-    // dropped — this pins the dense behavior and the cross-kernel identity.
+    // the exact zeros.
     for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         let mut a = Matrix::from_vec(
             3,
@@ -273,7 +295,7 @@ fn non_finite_lhs_propagates_and_matches_across_kernels() {
         .unwrap();
         let at = a.transpose();
         let bt = b.transpose();
-        let oracle = a.matmul_with(&b, 1, Kernel::Scalar).unwrap();
+        let oracle = oracle_nn(&a, &b);
         // Row 0 crosses the poison at p = 1. Where b[1][c] is exactly 0.0
         // (column 0) the product is `poison · 0.0` — NaN for NaN *and* for
         // ±inf; where b[1][c] is nonzero, NaN stays NaN and ±inf stays inf.
@@ -289,24 +311,22 @@ fn non_finite_lhs_propagates_and_matches_across_kernels() {
         }
         assert!(oracle.get(1, 0).unwrap().is_finite());
         for threads in [1usize, 2, 4, 8] {
-            for kernel in [Kernel::Scalar, Kernel::Tiled] {
-                let ctx = format!("poison {poison} kernel={kernel:?} threads={threads}");
-                assert_eq!(
-                    bits(&a.matmul_with(&b, threads, kernel).unwrap()),
-                    bits(&oracle),
-                    "nn {ctx}"
-                );
-                assert_eq!(
-                    bits(&at.matmul_tn_with(&b, threads, kernel).unwrap()),
-                    bits(&oracle),
-                    "tn {ctx}"
-                );
-                assert_eq!(
-                    bits(&a.matmul_nt_with(&bt, threads, kernel).unwrap()),
-                    bits(&oracle),
-                    "nt {ctx}"
-                );
-            }
+            let ctx = format!("poison {poison} threads={threads}");
+            assert_eq!(
+                bits(&a.matmul_with_threads(&b, threads).unwrap()),
+                bits(&oracle),
+                "nn {ctx}"
+            );
+            assert_eq!(
+                bits(&at.matmul_tn_with_threads(&b, threads).unwrap()),
+                bits(&oracle),
+                "tn {ctx}"
+            );
+            assert_eq!(
+                bits(&a.matmul_nt_with_threads(&bt, threads).unwrap()),
+                bits(&oracle),
+                "nt {ctx}"
+            );
         }
     }
 }

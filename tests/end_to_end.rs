@@ -1,10 +1,11 @@
 //! Cross-crate integration tests: the full RLL story from simulated crowd
 //! data to held-out scores.
 
-use rll::core::{RllConfig, RllPipeline, RllVariant};
+use rll::core::{RllConfig, RllPipeline, RllTrainer, RllVariant};
 use rll::crowd::aggregate::{Aggregator, MajorityVote};
 use rll::crowd::simulate::{WorkerModel, WorkerPool};
 use rll::data::presets;
+use rll::tensor::hash::fnv1a_f64s;
 use rll::tensor::Rng64;
 
 fn fast_config(variant: RllVariant) -> RllConfig {
@@ -59,6 +60,30 @@ fn thread_count_never_changes_end_to_end_results() {
         assert_eq!(
             embeddings, serial_embeddings,
             "embeddings differ at {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn default_oral_fit_bytes_are_pinned() {
+    // Golden bytes of a default fit on the paper-size oral preset: FNV-1a of
+    // the embeddings and of the loss/pre-clip-gradient-norm trace. Every
+    // matmul and group-loss kernel the trainer has shipped produced exactly
+    // these, at 1 thread and at 4; any change to the float arithmetic shows
+    // up here first.
+    let ds = presets::oral(42).unwrap();
+    for threads in [1, 4] {
+        let trainer = RllTrainer::new(RllConfig::default())
+            .unwrap()
+            .with_threads(threads);
+        let (model, trace) = trainer.fit(&ds.features, &ds.annotations, 42).unwrap();
+        let embed = model.embed(&ds.features).unwrap();
+        let mut trace_values = trace.epoch_losses.clone();
+        trace_values.extend_from_slice(&trace.grad_norms_pre_clip);
+        assert_eq!(
+            (fnv1a_f64s(embed.as_slice()), fnv1a_f64s(&trace_values)),
+            (0x8c96_7dac_f21b_1a77, 0x9178_307c_6315_3473),
+            "fit bytes changed at {threads} threads"
         );
     }
 }
