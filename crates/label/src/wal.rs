@@ -627,7 +627,8 @@ fn scan_segment(path: &Path, shard: u32, segment: u64, mut last_seq: u64) -> Res
             });
         };
         let line = &rest[..nl];
-        let remaining_lines = payload_line_count(&payload[offset..]);
+        // The lines left (`dropped_records`) are counted only on a fault:
+        // counting them per record made replay quadratic in segment length.
         match parse_record_line(line) {
             Ok(rec) => {
                 if rec.seq <= last_seq {
@@ -637,7 +638,7 @@ fn scan_segment(path: &Path, shard: u32, segment: u64, mut last_seq: u64) -> Res
                             index,
                             CorruptionKind::NonMonotoneSeq,
                             format!("seq {} after {}", rec.seq, last_seq),
-                            remaining_lines,
+                            payload_line_count(rest),
                         )),
                     });
                 }
@@ -647,7 +648,7 @@ fn scan_segment(path: &Path, shard: u32, segment: u64, mut last_seq: u64) -> Res
             Err((kind, detail)) => {
                 return Ok(SegmentScan {
                     records,
-                    corruption: Some(fault(index, kind, detail, remaining_lines)),
+                    corruption: Some(fault(index, kind, detail, payload_line_count(rest))),
                 });
             }
         }

@@ -178,6 +178,61 @@ fn flipped_bit_truncates_at_the_exact_record() {
     assert_eq!(replay2.records.len(), 5);
 }
 
+/// A 1 000-record unsealed segment whose record 400 is bad in each way a
+/// record can be: everything from it on is dropped, and the repair leaves
+/// exactly the 400 records before it.
+#[test]
+fn long_segment_drops_every_record_from_the_bad_one() {
+    const RECORDS: usize = 1000;
+    const BAD: usize = 400;
+    for kind in [
+        CorruptionKind::ChecksumMismatch,
+        CorruptionKind::MalformedRecord,
+        CorruptionKind::NonMonotoneSeq,
+    ] {
+        let dir = fresh_dir(&format!("long_segment_{kind:?}"));
+        {
+            let (mut wal, _) = ShardedWal::open(wal_config(&dir, 1, 2 * RECORDS as u64)).unwrap();
+            append_all(&mut wal, &vote_stream(RECORDS));
+        }
+        let victim = active_segment_of(&dir, 0);
+        let text = fs::read_to_string(&victim).unwrap();
+        // Line 0 is the header, so record i is line i + 1.
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        assert_eq!(lines.len(), RECORDS + 1);
+        lines[BAD + 1] = match kind {
+            // A well-formed checksum literal that does not match the JSON.
+            CorruptionKind::ChecksumMismatch => {
+                let (hex, json) = lines[BAD + 1].split_once(' ').unwrap();
+                let wrong = if hex.starts_with('0') { "1" } else { "0" };
+                format!("{wrong}{} {json}", &hex[1..])
+            }
+            CorruptionKind::MalformedRecord => "no separator here".to_string(),
+            // A verbatim copy of the previous record repeats its seq.
+            _ => lines[BAD].clone(),
+        };
+        fs::write(&victim, lines.join("\n") + "\n").unwrap();
+
+        let (_, replay) = ShardedWal::open(wal_config(&dir, 1, 2 * RECORDS as u64)).unwrap();
+        assert_eq!(replay.corruptions.len(), 1, "{kind:?}");
+        let c = &replay.corruptions[0];
+        assert_eq!(c.kind, kind);
+        assert_eq!(c.record_index, BAD as u64);
+        assert_eq!(c.dropped_records, (RECORDS - BAD) as u64, "{kind:?}");
+        assert_eq!(replay.dropped_records, (RECORDS - BAD) as u64, "{kind:?}");
+        assert_eq!(replay.records.len(), BAD);
+        assert_eq!(replay.high_water, BAD as u64);
+
+        // The repair rewrote the segment to the header plus 400 records.
+        let repaired = fs::read_to_string(&victim).unwrap();
+        assert_eq!(repaired.lines().count(), BAD + 1, "{kind:?}");
+        let (_, replay2) = ShardedWal::open(wal_config(&dir, 1, 2 * RECORDS as u64)).unwrap();
+        assert!(replay2.corruptions.is_empty());
+        assert_eq!(replay2.records.len(), BAD);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn rotation_seals_segments_and_replay_checks_them() {
     let dir = fresh_dir("rotation");

@@ -350,6 +350,23 @@ fn server_survives_malformed_traffic_then_serves_normally() {
 }
 
 #[test]
+fn deeply_nested_body_gets_400_and_the_server_lives() {
+    let h = Harness::start(17, ServerConfig::default());
+    // 200 000 `[` fit under the default 1 MiB body cap; parsed without a
+    // nesting cap they overflow the connection thread's stack, which aborts
+    // the whole process.
+    let body = "[".repeat(200_000);
+    assert!(body.len() <= ServerConfig::default().max_body_bytes);
+    let response = h.post_json("/embed", &body);
+    assert_eq!(response.status, 400);
+    let err: rll_serve::ErrorResponse = json(&response);
+    assert!(err.error.contains("nesting"), "got: {}", err.error);
+    let health = h.roundtrip("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert_eq!(health.status, 200);
+    h.stop();
+}
+
+#[test]
 fn reload_unconfigured_gets_400_and_wrong_method_405() {
     let h = Harness::start(16, ServerConfig::default());
     let response = h.post_json("/reload", "");

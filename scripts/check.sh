@@ -59,10 +59,24 @@ done
 ./target/release/loadgen --addr "$(head -n1 "$SMOKE_DIR/port")" \
     --requests 50 --concurrency 2 --seed 42 \
     --out "$SMOKE_DIR/serve_bench.json" >/dev/null
+# Hostile-body probe: 200 000 `[` fit under the 1 MiB body cap. The JSON
+# nesting cap must answer 400; without it the parser overflows the
+# connection thread's stack and the whole process aborts.
+head -c 200000 /dev/zero | tr '\0' '[' > "$SMOKE_DIR/deep.json"
+DEEP_STATUS=$(curl -s -m 10 -o /dev/null -w '%{http_code}' -H 'Expect:' \
+    --data-binary @"$SMOKE_DIR/deep.json" "http://$(head -n1 "$SMOKE_DIR/port")/embed")
+[ "$DEEP_STATUS" = 400 ] || {
+    echo "serve smoke FAILED: nested body got HTTP $DEEP_STATUS, want 400"
+    exit 1
+}
+curl -sf -m 10 "http://$(head -n1 "$SMOKE_DIR/port")/healthz" >/dev/null || {
+    echo "serve smoke FAILED: /healthz did not answer 200 after the nested body"
+    exit 1
+}
 kill "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
-echo "serve smoke test ok"
+echo "serve smoke test ok (incl. hostile nested body → 400)"
 
 echo "== tracing gate (trace/v1 JSONL valid; profiling never changes bytes) =="
 # Re-run the smoke serve with request tracing on, then validate the emitted
@@ -160,6 +174,22 @@ start_label_serve() { # $1 = port file, $2 = vote floor, $3 = trigger, $4 = comp
 }
 wal_bytes() { find "$LABEL_DIR" -name '*.rllwal' -printf '%s\n' 2>/dev/null | awk '{s+=$1} END {print s+0}'; }
 soak_field() { sed -n "s/.*\"$1\": *\([0-9][0-9]*\).*/\1/p" "$SMOKE_DIR/label_soak.json" | head -n1; }
+# Waits until the retrain manifest is complete and unchanged for a second:
+# no round is running, and none is due (the loop polls every 200 ms). A
+# round still running when the gate kills the server or POSTs /compact
+# leaves the manifest incomplete, and compaction then rightly does nothing,
+# so the fault it arms never fires.
+manifest_settled() {
+    local prev="" cur
+    for _ in $(seq 1 60); do
+        cur=$(tr -d ' \n' < "$LABEL_DIR/retrain.manifest.json" 2>/dev/null || true)
+        [ "$cur" = "$prev" ] && [[ "$cur" == *'"complete":true'* ]] && return 0
+        prev=$cur
+        sleep 1
+    done
+    echo "compaction gate FAILED: retrain manifest never settled: $cur"
+    exit 1
+}
 start_label_serve "$SMOKE_DIR/label_port" 40 drift on
 LABEL_ADDR=$(head -n1 "$SMOKE_DIR/label_port")
 ./target/release/loadgen --addr "$LABEL_ADDR" \
@@ -238,6 +268,7 @@ for _ in $(seq 1 120); do
     sleep 1
 done
 [ "${ROUNDS:-0}" -ge 1 ] || { echo "compaction gate FAILED: backlog round never fired"; exit 1; }
+manifest_settled
 curl -sf "http://$LABEL_ADDR4/labels" > "$SMOKE_DIR/labels_pre_compact.json"
 kill -9 "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
@@ -246,6 +277,7 @@ B0=$(wal_bytes)
 # server process dies mid-/compact; every segment must still be on disk and
 # a clean restart must serve the identical confidence surface.
 RLL_COMPACT_FAULT=before-delete start_label_serve "$SMOKE_DIR/label_port5" 0 drift off
+manifest_settled
 curl -s -m 30 -X POST -H 'Content-Length: 0' \
     "http://$(head -n1 "$SMOKE_DIR/label_port5")/compact" >/dev/null 2>&1 || true
 for _ in $(seq 1 50); do kill -0 "$SERVE_PID" 2>/dev/null || break; sleep 0.2; done
@@ -270,6 +302,7 @@ cmp "$SMOKE_DIR/labels_pre_compact.json" "$SMOKE_DIR/labels_fault1.json" || {
 # records whose segments are partially gone. Replay must treat the leading
 # gap as compacted prefix and still reproduce the exact surface.
 RLL_COMPACT_FAULT=mid-delete start_label_serve "$SMOKE_DIR/label_port7" 0 drift off
+manifest_settled
 curl -s -m 30 -X POST -H 'Content-Length: 0' \
     "http://$(head -n1 "$SMOKE_DIR/label_port7")/compact" >/dev/null 2>&1 || true
 for _ in $(seq 1 50); do kill -0 "$SERVE_PID" 2>/dev/null || break; sleep 0.2; done
@@ -292,6 +325,7 @@ cmp "$SMOKE_DIR/labels_pre_compact.json" "$SMOKE_DIR/labels_fault2.json" || {
 # Clean completion on the survivor: the interrupted run resumes, deletes the
 # remaining covered segments, shrinks the log — and /labels still does not
 # move, before or after one more kill -9.
+manifest_settled
 curl -sf -X POST -H 'Content-Length: 0' \
     "http://$LABEL_ADDR8/compact" > "$SMOKE_DIR/compact_stats.json"
 DELETED=$(sed -n 's/.*"segments_deleted": *\([0-9]*\).*/\1/p' "$SMOKE_DIR/compact_stats.json")
