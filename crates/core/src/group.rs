@@ -201,16 +201,6 @@ impl GroupSampler {
         p.saturating_mul(p - 1).saturating_mul(combos)
     }
 
-    /// Number of positive candidates.
-    pub fn num_positives(&self) -> usize {
-        self.positives.len()
-    }
-
-    /// Number of negative candidates.
-    pub fn num_negatives(&self) -> usize {
-        self.negatives.len()
-    }
-
     /// Samples one group.
     pub fn sample(&self, rng: &mut Rng64) -> Result<Group> {
         let mut rejections = 0;

@@ -1006,6 +1006,38 @@ mod tests {
     }
 
     #[test]
+    fn resume_rejects_forged_optimizer_moments() {
+        // A checksum-valid snapshot whose Adam moments have the right count
+        // and agree with each other, but not with the network's shapes, must
+        // be a typed error on resume, not an index-out-of-bounds panic.
+        let (x, ann, _) = crowd_dataset(40, 35);
+        let cfg = fast_config(RllVariant::Bayesian);
+        let dir = std::env::temp_dir().join("rll_core_resume_forged_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.rllstate");
+        let trainer = RllTrainer::new(cfg.clone())
+            .unwrap()
+            .with_checkpoint_policy(CheckpointPolicy::every(&path, 2).unwrap())
+            .with_fault_plan(FaultPlan {
+                kill_after_epoch: 3,
+            });
+        assert!(matches!(
+            trainer.fit(&x, &ann, 36),
+            Err(RllError::Interrupted { .. })
+        ));
+        let mut state = TrainState::load(&path).unwrap();
+        let tensors = state.optimizer.m.len();
+        assert!(tensors > 0);
+        state.optimizer.m = vec![Matrix::zeros(1, 1); tensors];
+        state.optimizer.v = vec![Matrix::zeros(1, 1); tensors];
+        state.save(&path).unwrap();
+        let forged = TrainState::load(&path).unwrap();
+        let resumed = RllTrainer::new(cfg).unwrap().resume(&x, &ann, forged);
+        assert!(matches!(resumed, Err(RllError::Nn(_))), "{resumed:?}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn fault_plan_without_checkpointing_still_interrupts() {
         let (x, ann, _) = crowd_dataset(40, 37);
         let trainer = RllTrainer::new(fast_config(RllVariant::Bayesian))

@@ -8,13 +8,11 @@
 pub mod dawid_skene;
 pub mod glad;
 pub mod majority;
-pub mod raykar;
 pub mod soft;
 
 pub use dawid_skene::{DawidSkene, DawidSkeneFit};
 pub use glad::{Glad, GladFit};
 pub use majority::{MajorityVote, TieBreak};
-pub use raykar::{Raykar, RaykarFit};
 pub use soft::SoftLabels;
 
 use crate::annotations::AnnotationMatrix;

@@ -4,8 +4,8 @@
 //! pair contributed by a crowd worker is kept — equivalently, each item gets a
 //! *soft* label equal to its per-class vote fraction, "a soft probabilistic
 //! estimate of the actual ground truth" (Raykar et al., cited by the paper as
-//! the SoftProb baseline). Downstream classifiers consume either the soft
-//! targets directly or the expanded pair list with per-pair weights.
+//! the SoftProb baseline). Downstream classifiers consume the soft targets
+//! directly.
 
 use crate::aggregate::Aggregator;
 use crate::annotations::AnnotationMatrix;
@@ -20,19 +20,6 @@ impl SoftLabels {
     /// Creates the aggregator.
     pub fn new() -> Self {
         SoftLabels
-    }
-
-    /// Expands the table into `(item, label)` training pairs — one per
-    /// annotation — exactly the "every pair provided by each crowd worker as a
-    /// separate example" construction from the paper.
-    pub fn expand_pairs(&self, annotations: &AnnotationMatrix) -> Result<Vec<(usize, u8)>> {
-        let mut pairs = Vec::with_capacity(annotations.total_annotations());
-        for i in 0..annotations.num_items() {
-            for (_, label) in annotations.item_labels(i)? {
-                pairs.push((i, label));
-            }
-        }
-        Ok(pairs)
     }
 
     /// Per-item soft positive targets for a binary table (`P(y=1)` = positive
@@ -82,23 +69,6 @@ mod tests {
         assert!((targets[0] - 0.6).abs() < 1e-12);
         assert_eq!(targets[1], 1.0);
         assert_eq!(targets[2], 0.0);
-    }
-
-    #[test]
-    fn expand_pairs_one_per_annotation() {
-        let ann = AnnotationMatrix::from_dense_binary(&[vec![1, 0], vec![1, 1]]).unwrap();
-        let pairs = SoftLabels::new().expand_pairs(&ann).unwrap();
-        assert_eq!(pairs.len(), 4);
-        assert_eq!(pairs, vec![(0, 1), (0, 0), (1, 1), (1, 1)]);
-    }
-
-    #[test]
-    fn expand_pairs_skips_missing_votes() {
-        let mut ann = AnnotationMatrix::new(2, 3, 2).unwrap();
-        ann.set(0, 0, 1).unwrap();
-        ann.set(1, 2, 0).unwrap();
-        let pairs = SoftLabels::new().expand_pairs(&ann).unwrap();
-        assert_eq!(pairs, vec![(0, 1), (1, 0)]);
     }
 
     #[test]

@@ -171,14 +171,6 @@ impl AnnotationMatrix {
         Ok(self.vote_counts(item)?[1])
     }
 
-    /// Ensures every item has at least `min` annotations; returns the indices
-    /// of items that violate the requirement.
-    pub fn items_below_coverage(&self, min: usize) -> Vec<usize> {
-        (0..self.num_items)
-            .filter(|&i| self.annotation_count(i).map(|c| c < min).unwrap_or(true))
-            .collect()
-    }
-
     /// Restricts the table to the first `d` workers, modelling the paper's
     /// Table III sweep over the number of crowd workers per item.
     pub fn restrict_workers(&self, d: usize) -> Result<AnnotationMatrix> {
@@ -306,13 +298,6 @@ mod tests {
     fn positive_votes_requires_binary() {
         let m = AnnotationMatrix::new(1, 2, 3).unwrap();
         assert!(m.positive_votes(0).is_err());
-    }
-
-    #[test]
-    fn coverage_report() {
-        let m = table();
-        assert_eq!(m.items_below_coverage(3), vec![2]);
-        assert!(m.items_below_coverage(1).is_empty());
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!   items);
 //! - [`aggregate`] — true-label inference baselines from the paper's Group 1:
 //!   majority vote, soft probabilistic labels (SoftProb), the Dawid–Skene EM
-//!   estimator, GLAD (worker expertise × item difficulty), and Raykar's joint
-//!   "learning from crowds" logistic-regression EM;
+//!   estimator, and GLAD (worker expertise × item difficulty);
 //! - [`confidence`] — the paper's two label-confidence estimators: the MLE
 //!   vote fraction (eq. 1) and the Beta-posterior mean (eq. 2), plus the
 //!   class-prior → `(α, β)` mapping the paper uses to set the prior;
@@ -20,7 +19,6 @@
 //!   unavailable.
 
 pub mod aggregate;
-pub mod agreement;
 pub mod annotations;
 pub mod confidence;
 pub mod error;

@@ -5,8 +5,8 @@
 //! worker noise models. The models cover the standard crowdsourcing taxonomy:
 //!
 //! - [`WorkerModel::OneCoin`] — symmetric accuracy `p(correct) = accuracy`;
-//! - [`WorkerModel::TwoCoin`] — separate sensitivity/specificity, matching
-//!   the Raykar generative assumptions;
+//! - [`WorkerModel::TwoCoin`] — separate sensitivity/specificity (the
+//!   Dawid–Skene binary confusion model);
 //! - [`WorkerModel::Spammer`] — votes 1 with fixed probability regardless of
 //!   the truth (zero information);
 //! - [`WorkerModel::Hammer`] — always correct (an expert);
@@ -118,18 +118,6 @@ impl WorkerModel {
                     1 - truth
                 }
             }
-        }
-    }
-
-    /// Expected probability of reporting the true label for a positive item
-    /// (used by tests and analysis).
-    pub fn expected_accuracy_on_positive(&self, difficulty: f64) -> f64 {
-        match *self {
-            WorkerModel::OneCoin { accuracy } => accuracy,
-            WorkerModel::TwoCoin { sensitivity, .. } => sensitivity,
-            WorkerModel::Spammer { positive_rate } => positive_rate,
-            WorkerModel::Hammer => 1.0,
-            WorkerModel::DifficultyAware { ability } => sigmoid(ability / difficulty.max(1e-6)),
         }
     }
 }

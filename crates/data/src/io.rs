@@ -47,41 +47,6 @@ pub fn load(path: &Path) -> Result<Dataset> {
     from_json(&json)
 }
 
-/// Exports the feature matrix plus expert labels as CSV with a header row —
-/// the interchange format for inspecting simulations in external tools.
-pub fn features_to_csv(dataset: &Dataset, feature_names: Option<&[&str]>) -> Result<String> {
-    if let Some(names) = feature_names {
-        if names.len() != dataset.dim() {
-            return Err(DataError::InvalidConfig {
-                reason: format!(
-                    "{} feature names for {} columns",
-                    names.len(),
-                    dataset.dim()
-                ),
-            });
-        }
-    }
-    let mut out = String::new();
-    match feature_names {
-        Some(names) => {
-            out.push_str(&names.join(","));
-        }
-        None => {
-            let cols: Vec<String> = (0..dataset.dim()).map(|c| format!("f{c}")).collect();
-            out.push_str(&cols.join(","));
-        }
-    }
-    out.push_str(",expert_label\n");
-    for i in 0..dataset.len() {
-        let row = dataset.features.row(i)?;
-        for v in row {
-            out.push_str(&format!("{v:.6},"));
-        }
-        out.push_str(&format!("{}\n", dataset.expert_labels[i]));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,20 +86,5 @@ mod tests {
         assert_eq!(back.len(), 20);
         let _ = std::fs::remove_dir_all(&dir);
         assert!(load(&path).is_err()); // gone now
-    }
-
-    #[test]
-    fn csv_export_shape() {
-        let ds = presets::oral_scaled(5, 4).unwrap();
-        let csv = features_to_csv(&ds, None).unwrap();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 6); // header + 5 rows
-        assert!(lines[0].starts_with("f0,"));
-        assert!(lines[0].ends_with("expert_label"));
-        assert_eq!(lines[1].matches(',').count(), ds.dim());
-        // Named columns.
-        let names: Vec<&str> = (0..ds.dim()).map(|_| "x").collect();
-        assert!(features_to_csv(&ds, Some(&names)).is_ok());
-        assert!(features_to_csv(&ds, Some(&names[..2])).is_err());
     }
 }

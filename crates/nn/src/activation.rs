@@ -5,8 +5,7 @@ use serde::{Deserialize, Serialize};
 /// An elementwise non-linearity applied after a dense layer's affine map.
 ///
 /// The paper's projection layers are tanh-style non-linearities (following the
-/// DSSM lineage it cites); ReLU variants are provided for the baselines and
-/// ablations.
+/// DSSM lineage it cites); ReLU is provided for the baselines and ablations.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Activation {
     /// `f(x) = x` — used for the final embedding layer so cosine scores see an
@@ -14,11 +13,6 @@ pub enum Activation {
     Identity,
     /// Rectified linear unit `max(0, x)`.
     Relu,
-    /// Leaky ReLU with slope `alpha` for negative inputs.
-    LeakyRelu {
-        /// Negative-side slope (typically 0.01).
-        alpha: f64,
-    },
     /// Hyperbolic tangent.
     Tanh,
     /// Logistic sigmoid.
@@ -32,13 +26,6 @@ impl Activation {
         match self {
             Activation::Identity => z,
             Activation::Relu => z.max(0.0),
-            Activation::LeakyRelu { alpha } => {
-                if z >= 0.0 {
-                    z
-                } else {
-                    alpha * z
-                }
-            }
             Activation::Tanh => z.tanh(),
             Activation::Sigmoid => rll_tensor::ops::sigmoid(z),
         }
@@ -58,13 +45,6 @@ impl Activation {
                     0.0
                 }
             }
-            Activation::LeakyRelu { alpha } => {
-                if z > 0.0 {
-                    1.0
-                } else {
-                    alpha
-                }
-            }
             Activation::Tanh => 1.0 - a * a,
             Activation::Sigmoid => a * (1.0 - a),
         }
@@ -75,10 +55,9 @@ impl Activation {
 mod tests {
     use super::*;
 
-    const ACTS: [Activation; 5] = [
+    const ACTS: [Activation; 4] = [
         Activation::Identity,
         Activation::Relu,
-        Activation::LeakyRelu { alpha: 0.01 },
         Activation::Tanh,
         Activation::Sigmoid,
     ];
@@ -88,7 +67,6 @@ mod tests {
         assert_eq!(Activation::Identity.apply(-3.0), -3.0);
         assert_eq!(Activation::Relu.apply(-3.0), 0.0);
         assert_eq!(Activation::Relu.apply(2.0), 2.0);
-        assert_eq!(Activation::LeakyRelu { alpha: 0.1 }.apply(-2.0), -0.2);
         assert!((Activation::Tanh.apply(0.0)).abs() < 1e-12);
         assert!((Activation::Sigmoid.apply(0.0) - 0.5).abs() < 1e-12);
     }
@@ -112,10 +90,6 @@ mod tests {
     #[test]
     fn relu_derivative_zero_on_negative_side() {
         assert_eq!(Activation::Relu.derivative(-1.0, 0.0), 0.0);
-        assert_eq!(
-            Activation::LeakyRelu { alpha: 0.2 }.derivative(-1.0, -0.2),
-            0.2
-        );
     }
 
     #[test]

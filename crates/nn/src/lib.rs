@@ -11,10 +11,10 @@
 //!   composed into an [`Mlp`];
 //! - manual reverse-mode differentiation: [`Mlp::forward_cached`] +
 //!   [`Mlp::backward`] accumulate parameter gradients;
-//! - [`loss`] — MSE, binary cross-entropy, softmax cross-entropy, contrastive
-//!   (SiameseNet), and triplet-margin (TripletNet) losses, each returning the
-//!   loss value and the gradient with respect to its inputs;
-//! - [`optimizer`] — SGD, SGD+momentum, RMSProp, Adam, AdamW, plus global-norm
+//! - [`loss`] — MSE, contrastive (SiameseNet), and triplet-margin (TripletNet)
+//!   losses, each returning the loss value and the gradient with respect to
+//!   its inputs;
+//! - [`optimizer`] — Adam, the one optimizer RLL trains with, plus global-norm
 //!   gradient clipping;
 //! - [`scheduler`] — constant / step / exponential / cosine learning-rate
 //!   schedules;
@@ -34,7 +34,7 @@ pub use activation::Activation;
 pub use error::NnError;
 pub use layer::Dense;
 pub use mlp::{Mlp, MlpCache, MlpConfig};
-pub use optimizer::{Adam, AdamState, AdamW, GradClip, Momentum, Optimizer, RmsProp, Sgd};
+pub use optimizer::{Adam, AdamState, GradClip, Optimizer};
 pub use scheduler::{LrSchedule, LR_FLOOR_RATIO};
 
 /// Result alias used across the crate.

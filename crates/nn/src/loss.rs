@@ -40,31 +40,6 @@ pub fn mse(pred: &Matrix, target: &Matrix) -> Result<(f64, Matrix)> {
     Ok((loss, grad))
 }
 
-/// Binary cross-entropy on probabilities in `(0, 1)`.
-///
-/// `targets` may be soft (e.g. crowdsourced vote fractions). Probabilities are
-/// clamped away from {0, 1} before the logs.
-pub fn binary_cross_entropy(pred: &Matrix, target: &Matrix) -> Result<(f64, Matrix)> {
-    check_same_shape("binary_cross_entropy", pred, target)?;
-    if pred.is_empty() {
-        return Err(NnError::Tensor(rll_tensor::TensorError::Empty {
-            op: "binary_cross_entropy",
-        }));
-    }
-    let n = pred.len() as f64;
-    let eps = 1e-12;
-    let mut loss = 0.0;
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
-    for i in 0..pred.len() {
-        let p = ops::clamp_prob(pred.as_slice()[i], eps);
-        let t = target.as_slice()[i];
-        loss += -(t * p.ln() + (1.0 - t) * (1.0 - p).ln());
-        grad.as_mut_slice()[i] = (p - t) / (p * (1.0 - p)) / n;
-    }
-    debug_assert_finite!(grad, "binary_cross_entropy gradient");
-    Ok((loss / n, grad))
-}
-
 /// Binary cross-entropy on raw logits (numerically stable; the gradient is the
 /// familiar `sigmoid(z) - t`).
 pub fn bce_with_logits(logits: &Matrix, target: &Matrix) -> Result<(f64, Matrix)> {
@@ -85,46 +60,6 @@ pub fn bce_with_logits(logits: &Matrix, target: &Matrix) -> Result<(f64, Matrix)
         grad.as_mut_slice()[i] = (ops::sigmoid(z) - t) / n;
     }
     debug_assert_finite!(grad, "bce_with_logits gradient");
-    Ok((loss / n, grad))
-}
-
-/// Softmax cross-entropy over rows of `logits` against integer class labels.
-///
-/// Returns the mean loss and `dL/dlogits`.
-pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> Result<(f64, Matrix)> {
-    if logits.rows() != labels.len() {
-        return Err(NnError::InvalidConfig {
-            reason: format!(
-                "softmax_cross_entropy: {} logit rows but {} labels",
-                logits.rows(),
-                labels.len()
-            ),
-        });
-    }
-    if logits.is_empty() {
-        return Err(NnError::Tensor(rll_tensor::TensorError::Empty {
-            op: "softmax_cross_entropy",
-        }));
-    }
-    let n = logits.rows() as f64;
-    let mut loss = 0.0;
-    let mut grad = Matrix::zeros(logits.rows(), logits.cols());
-    for r in 0..logits.rows() {
-        let row = logits.row(r)?;
-        let label = labels[r];
-        if label >= logits.cols() {
-            return Err(NnError::InvalidConfig {
-                reason: format!("label {label} out of range for {} classes", logits.cols()),
-            });
-        }
-        let probs = ops::softmax(row)?;
-        loss += -(probs[label].max(1e-300)).ln();
-        let grad_row = grad.row_mut(r)?;
-        for (c, &p) in probs.iter().enumerate() {
-            grad_row[c] = (p - if c == label { 1.0 } else { 0.0 }) / n;
-        }
-    }
-    debug_assert_finite!(grad, "softmax_cross_entropy gradient");
     Ok((loss / n, grad))
 }
 
@@ -266,6 +201,31 @@ pub fn triplet(
 mod tests {
     use super::*;
 
+    /// Oracle: binary cross-entropy on probabilities in `(0, 1)`.
+    ///
+    /// `targets` may be soft (e.g. crowdsourced vote fractions). Probabilities are
+    /// clamped away from {0, 1} before the logs.
+    fn binary_cross_entropy(pred: &Matrix, target: &Matrix) -> Result<(f64, Matrix)> {
+        check_same_shape("binary_cross_entropy", pred, target)?;
+        if pred.is_empty() {
+            return Err(NnError::Tensor(rll_tensor::TensorError::Empty {
+                op: "binary_cross_entropy",
+            }));
+        }
+        let n = pred.len() as f64;
+        let eps = 1e-12;
+        let mut loss = 0.0;
+        let mut grad = Matrix::zeros(pred.rows(), pred.cols());
+        for i in 0..pred.len() {
+            let p = ops::clamp_prob(pred.as_slice()[i], eps);
+            let t = target.as_slice()[i];
+            loss += -(t * p.ln() + (1.0 - t) * (1.0 - p).ln());
+            grad.as_mut_slice()[i] = (p - t) / (p * (1.0 - p)) / n;
+        }
+        debug_assert_finite!(grad, "binary_cross_entropy gradient");
+        Ok((loss / n, grad))
+    }
+
     fn finite_diff(f: &dyn Fn(&Matrix) -> f64, at: &Matrix, r: usize, c: usize) -> f64 {
         let eps = 1e-6;
         let mut up = at.clone();
@@ -357,36 +317,6 @@ mod tests {
         let (l, g) = bce_with_logits(&logits, &target).unwrap();
         assert!(l.is_finite() && l > 100.0);
         assert!(g.as_slice().iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn softmax_ce_perfect_prediction_low_loss() {
-        let logits = Matrix::from_vec(2, 3, vec![10.0, 0.0, 0.0, 0.0, 0.0, 10.0]).unwrap();
-        let (l, _) = softmax_cross_entropy(&logits, &[0, 2]).unwrap();
-        assert!(l < 1e-3);
-    }
-
-    #[test]
-    fn softmax_ce_gradient_check() {
-        let logits = Matrix::from_vec(2, 3, vec![0.2, -0.1, 0.5, 1.0, 0.0, -1.0]).unwrap();
-        let labels = [2usize, 0];
-        let (_, g) = softmax_cross_entropy(&logits, &labels).unwrap();
-        for &(r, c) in &[(0, 0), (0, 2), (1, 1)] {
-            let numeric = finite_diff(
-                &|z| softmax_cross_entropy(z, &labels).unwrap().0,
-                &logits,
-                r,
-                c,
-            );
-            assert!((numeric - g.get(r, c).unwrap()).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn softmax_ce_validates_labels() {
-        let logits = Matrix::ones(1, 3);
-        assert!(softmax_cross_entropy(&logits, &[3]).is_err());
-        assert!(softmax_cross_entropy(&logits, &[0, 1]).is_err());
     }
 
     #[test]

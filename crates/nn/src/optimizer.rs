@@ -1,9 +1,9 @@
 //! First-order optimizers.
 //!
 //! An [`Optimizer`] consumes `(parameter, gradient)` pairs in a stable order
-//! and updates the parameters in place. Stateful optimizers (momentum, Adam,
-//! …) index their per-parameter state by position, so a given optimizer
-//! instance must always be stepped with the same network.
+//! and updates the parameters in place. [`Adam`], the one implementation,
+//! indexes its per-parameter state by position, so an instance must always
+//! be stepped with the same network.
 
 use crate::error::NnError;
 use crate::Result;
@@ -23,192 +23,8 @@ pub trait Optimizer {
     fn learning_rate(&self) -> f64;
 }
 
-fn validate_lr(lr: f64) -> Result<()> {
-    if lr <= 0.0 || !lr.is_finite() {
-        return Err(NnError::InvalidConfig {
-            reason: format!("learning rate must be positive and finite, got {lr}"),
-        });
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
-// SGD
-// ---------------------------------------------------------------------------
-
-/// Plain stochastic gradient descent with optional L2 weight decay.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f64,
-    weight_decay: f64,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate and no weight decay.
-    pub fn new(lr: f64) -> Result<Self> {
-        validate_lr(lr)?;
-        Ok(Sgd {
-            lr,
-            weight_decay: 0.0,
-        })
-    }
-
-    /// Adds L2 weight decay (decoupled: applied directly to the parameters).
-    pub fn with_weight_decay(mut self, wd: f64) -> Self {
-        self.weight_decay = wd.max(0.0);
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: Vec<(&mut Matrix, Matrix)>) -> Result<()> {
-        for (param, grad) in params {
-            if self.weight_decay > 0.0 {
-                param.scale_inplace(1.0 - self.lr * self.weight_decay);
-            }
-            param.add_scaled(&grad, -self.lr)?;
-        }
-        Ok(())
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Momentum
-// ---------------------------------------------------------------------------
-
-/// SGD with classical momentum: `v = mu * v - lr * g; p += v`.
-#[derive(Debug, Clone)]
-pub struct Momentum {
-    lr: f64,
-    mu: f64,
-    velocity: Vec<Matrix>,
-}
-
-impl Momentum {
-    /// Creates momentum SGD. `mu` is typically 0.9.
-    pub fn new(lr: f64, mu: f64) -> Result<Self> {
-        validate_lr(lr)?;
-        if !(0.0..1.0).contains(&mu) {
-            return Err(NnError::InvalidConfig {
-                reason: format!("momentum must be in [0, 1), got {mu}"),
-            });
-        }
-        Ok(Momentum {
-            lr,
-            mu,
-            velocity: Vec::new(),
-        })
-    }
-}
-
-impl Optimizer for Momentum {
-    fn step(&mut self, params: Vec<(&mut Matrix, Matrix)>) -> Result<()> {
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|(p, _)| Matrix::zeros(p.rows(), p.cols()))
-                .collect();
-        }
-        if self.velocity.len() != params.len() {
-            return Err(NnError::InvalidConfig {
-                reason: format!(
-                    "optimizer state holds {} tensors but step received {}",
-                    self.velocity.len(),
-                    params.len()
-                ),
-            });
-        }
-        for ((param, grad), v) in params.into_iter().zip(&mut self.velocity) {
-            v.scale_inplace(self.mu);
-            v.add_scaled(&grad, -self.lr)?;
-            param.add_assign(v)?;
-        }
-        Ok(())
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RMSProp
-// ---------------------------------------------------------------------------
-
-/// RMSProp: per-coordinate learning rates from an EMA of squared gradients.
-#[derive(Debug, Clone)]
-pub struct RmsProp {
-    lr: f64,
-    decay: f64,
-    eps: f64,
-    mean_square: Vec<Matrix>,
-}
-
-impl RmsProp {
-    /// Creates RMSProp; `decay` is typically 0.9.
-    pub fn new(lr: f64, decay: f64) -> Result<Self> {
-        validate_lr(lr)?;
-        if !(0.0..1.0).contains(&decay) {
-            return Err(NnError::InvalidConfig {
-                reason: format!("decay must be in [0, 1), got {decay}"),
-            });
-        }
-        Ok(RmsProp {
-            lr,
-            decay,
-            eps: 1e-8,
-            mean_square: Vec::new(),
-        })
-    }
-}
-
-impl Optimizer for RmsProp {
-    fn step(&mut self, params: Vec<(&mut Matrix, Matrix)>) -> Result<()> {
-        if self.mean_square.is_empty() {
-            self.mean_square = params
-                .iter()
-                .map(|(p, _)| Matrix::zeros(p.rows(), p.cols()))
-                .collect();
-        }
-        if self.mean_square.len() != params.len() {
-            return Err(NnError::InvalidConfig {
-                reason: "optimizer state size mismatch".into(),
-            });
-        }
-        for ((param, grad), ms) in params.into_iter().zip(&mut self.mean_square) {
-            for i in 0..grad.len() {
-                let g = grad.as_slice()[i];
-                let m = &mut ms.as_mut_slice()[i];
-                *m = self.decay * *m + (1.0 - self.decay) * g * g;
-                param.as_mut_slice()[i] -= self.lr * g / (m.sqrt() + self.eps);
-            }
-        }
-        Ok(())
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Adam / AdamW
+// Adam
 // ---------------------------------------------------------------------------
 
 /// A serializable snapshot of [`Adam`]'s mutable state: the bias-correction
@@ -228,39 +44,33 @@ pub struct AdamState {
     pub v: Vec<Matrix>,
 }
 
-/// Adam (Kingma & Ba) with bias correction.
+/// First-moment decay rate.
+const BETA1: f64 = 0.9;
+/// Second-moment decay rate.
+const BETA2: f64 = 0.999;
+/// Denominator guard.
+const EPS: f64 = 1e-8;
+
+/// Adam (Kingma & Ba) with bias correction and the standard constants
+/// `beta1 = 0.9`, `beta2 = 0.999`, `eps = 1e-8`.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
     t: u64,
     m: Vec<Matrix>,
     v: Vec<Matrix>,
 }
 
 impl Adam {
-    /// Creates Adam with the standard defaults `beta1 = 0.9`, `beta2 = 0.999`.
+    /// Creates Adam with the given learning rate.
     pub fn new(lr: f64) -> Result<Self> {
-        Self::with_betas(lr, 0.9, 0.999)
-    }
-
-    /// Creates Adam with explicit betas.
-    pub fn with_betas(lr: f64, beta1: f64, beta2: f64) -> Result<Self> {
-        validate_lr(lr)?;
-        for (name, b) in [("beta1", beta1), ("beta2", beta2)] {
-            if !(0.0..1.0).contains(&b) {
-                return Err(NnError::InvalidConfig {
-                    reason: format!("{name} must be in [0, 1), got {b}"),
-                });
-            }
+        if lr <= 0.0 || !lr.is_finite() {
+            return Err(NnError::InvalidConfig {
+                reason: format!("learning rate must be positive and finite, got {lr}"),
+            });
         }
         Ok(Adam {
             lr,
-            beta1,
-            beta2,
-            eps: 1e-8,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -268,8 +78,8 @@ impl Adam {
     }
 
     /// Snapshots the optimizer's mutable state (step count and both moment
-    /// accumulators). Hyperparameters (`lr`, betas, `eps`) are construction
-    /// inputs, not state — a restored optimizer keeps its own.
+    /// accumulators). The learning rate is a construction input, not state —
+    /// a restored optimizer keeps its own.
     pub fn state(&self) -> AdamState {
         AdamState {
             t: self.t,
@@ -278,11 +88,13 @@ impl Adam {
         }
     }
 
-    /// Restores a snapshot taken by [`Self::state`]. The next [`Self::step`]
+    /// Restores a snapshot taken by [`Self::state`]. The next [`Optimizer::step`]
     /// continues the original update sequence bit-exactly.
     ///
     /// Returns [`NnError::InvalidConfig`] when the snapshot is internally
-    /// inconsistent (`m`/`v` length or per-tensor shape mismatch).
+    /// inconsistent (`m`/`v` length or per-tensor shape mismatch). Moments
+    /// that agree with each other but not with the parameters are rejected
+    /// by the next `step`.
     pub fn restore(&mut self, state: AdamState) -> Result<()> {
         if state.m.len() != state.v.len() {
             return Err(NnError::InvalidConfig {
@@ -311,8 +123,13 @@ impl Adam {
         self.v = state.v;
         Ok(())
     }
+}
 
-    fn step_inner(&mut self, params: Vec<(&mut Matrix, Matrix)>, weight_decay: f64) -> Result<()> {
+impl Optimizer for Adam {
+    /// Fails with [`NnError::InvalidConfig`], touching neither the optimizer
+    /// nor the parameters, when the tensor count or any tensor's shape
+    /// differs from the moments held (e.g. a forged or mismatched restore).
+    fn step(&mut self, params: Vec<(&mut Matrix, Matrix)>) -> Result<()> {
         if self.m.is_empty() {
             self.m = params
                 .iter()
@@ -329,34 +146,39 @@ impl Adam {
                 ),
             });
         }
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, (param, grad)) in params.into_iter().enumerate() {
-            if weight_decay > 0.0 {
-                // Decoupled decay (AdamW): shrink parameters directly.
-                param.scale_inplace(1.0 - self.lr * weight_decay);
+        // `restore` keeps each `v` the shape of its `m`, so checking `m`
+        // covers both.
+        for (i, (m, (p, _))) in self.m.iter().zip(&params).enumerate() {
+            if m.rows() != p.rows() || m.cols() != p.cols() {
+                return Err(NnError::InvalidConfig {
+                    reason: format!(
+                        "optimizer state tensor {i} is {}x{} but its parameter is {}x{}",
+                        m.rows(),
+                        m.cols(),
+                        p.rows(),
+                        p.cols()
+                    ),
+                });
             }
+        }
+        self.t += 1;
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
+        for (i, (param, grad)) in params.into_iter().enumerate() {
             let m = &mut self.m[i];
             let v = &mut self.v[i];
             for j in 0..grad.len() {
                 let g = grad.as_slice()[j];
                 let mj = &mut m.as_mut_slice()[j];
-                *mj = self.beta1 * *mj + (1.0 - self.beta1) * g;
+                *mj = BETA1 * *mj + (1.0 - BETA1) * g;
                 let vj = &mut v.as_mut_slice()[j];
-                *vj = self.beta2 * *vj + (1.0 - self.beta2) * g * g;
+                *vj = BETA2 * *vj + (1.0 - BETA2) * g * g;
                 let m_hat = *mj / bc1;
                 let v_hat = *vj / bc2;
-                param.as_mut_slice()[j] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+                param.as_mut_slice()[j] -= self.lr * m_hat / (v_hat.sqrt() + EPS);
             }
         }
         Ok(())
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: Vec<(&mut Matrix, Matrix)>) -> Result<()> {
-        self.step_inner(params, 0.0)
     }
 
     fn set_learning_rate(&mut self, lr: f64) {
@@ -365,43 +187,6 @@ impl Optimizer for Adam {
 
     fn learning_rate(&self) -> f64 {
         self.lr
-    }
-}
-
-/// AdamW: Adam with decoupled weight decay.
-#[derive(Debug, Clone)]
-pub struct AdamW {
-    inner: Adam,
-    weight_decay: f64,
-}
-
-impl AdamW {
-    /// Creates AdamW with the given learning rate and decay coefficient.
-    pub fn new(lr: f64, weight_decay: f64) -> Result<Self> {
-        if weight_decay < 0.0 {
-            return Err(NnError::InvalidConfig {
-                reason: format!("weight decay must be non-negative, got {weight_decay}"),
-            });
-        }
-        Ok(AdamW {
-            inner: Adam::new(lr)?,
-            weight_decay,
-        })
-    }
-}
-
-impl Optimizer for AdamW {
-    fn step(&mut self, params: Vec<(&mut Matrix, Matrix)>) -> Result<()> {
-        let wd = self.weight_decay;
-        self.inner.step_inner(params, wd)
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.inner.set_learning_rate(lr);
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.inner.learning_rate()
     }
 }
 
@@ -460,27 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges() {
-        let mut opt = Sgd::new(0.1).unwrap();
-        let x = converges_on_quadratic(&mut opt, 200);
-        assert!((x - 3.0).abs() < 1e-6, "x = {x}");
-    }
-
-    #[test]
-    fn momentum_converges() {
-        let mut opt = Momentum::new(0.05, 0.9).unwrap();
-        let x = converges_on_quadratic(&mut opt, 300);
-        assert!((x - 3.0).abs() < 1e-4, "x = {x}");
-    }
-
-    #[test]
-    fn rmsprop_converges() {
-        let mut opt = RmsProp::new(0.05, 0.9).unwrap();
-        let x = converges_on_quadratic(&mut opt, 500);
-        assert!((x - 3.0).abs() < 1e-2, "x = {x}");
-    }
-
-    #[test]
     fn adam_converges() {
         let mut opt = Adam::new(0.1).unwrap();
         let x = converges_on_quadratic(&mut opt, 500);
@@ -488,30 +252,10 @@ mod tests {
     }
 
     #[test]
-    fn adamw_converges_with_decay() {
-        let mut opt = AdamW::new(0.1, 0.001).unwrap();
-        let x = converges_on_quadratic(&mut opt, 500);
-        // Decay biases slightly toward zero but must stay near the optimum.
-        assert!((x - 3.0).abs() < 0.05, "x = {x}");
-    }
-
-    #[test]
     fn constructors_validate() {
-        assert!(Sgd::new(0.0).is_err());
-        assert!(Sgd::new(f64::NAN).is_err());
-        assert!(Momentum::new(0.1, 1.0).is_err());
-        assert!(RmsProp::new(0.1, -0.1).is_err());
-        assert!(Adam::with_betas(0.1, 1.0, 0.9).is_err());
-        assert!(AdamW::new(0.1, -1.0).is_err());
+        assert!(Adam::new(0.0).is_err());
+        assert!(Adam::new(f64::NAN).is_err());
         assert!(GradClip::new(0.0).is_err());
-    }
-
-    #[test]
-    fn sgd_weight_decay_shrinks_params() {
-        let mut opt = Sgd::new(0.1).unwrap().with_weight_decay(0.5);
-        let mut x = Matrix::full(1, 1, 10.0);
-        opt.step(vec![(&mut x, Matrix::zeros(1, 1))]).unwrap();
-        assert!((x.at(0, 0) - 9.5).abs() < 1e-12);
     }
 
     #[test]
@@ -535,9 +279,6 @@ mod tests {
         assert_eq!(opt.learning_rate(), 0.1);
         opt.set_learning_rate(0.01);
         assert_eq!(opt.learning_rate(), 0.01);
-        let mut w = AdamW::new(0.2, 0.0).unwrap();
-        w.set_learning_rate(0.05);
-        assert_eq!(w.learning_rate(), 0.05);
     }
 
     #[test]
@@ -597,6 +338,26 @@ mod tests {
                 v: vec![Matrix::zeros(2, 1)],
             })
             .is_err());
+    }
+
+    #[test]
+    fn adam_step_rejects_moments_misshapen_for_params() {
+        // Right tensor count, consistent m/v, wrong shape for the parameter:
+        // `restore` cannot know the network, so `step` must catch it before
+        // indexing the moments, and leave everything as it was.
+        let mut opt = Adam::new(0.1).unwrap();
+        let forged = AdamState {
+            t: 4,
+            m: vec![Matrix::zeros(1, 1)],
+            v: vec![Matrix::zeros(1, 1)],
+        };
+        opt.restore(forged.clone()).unwrap();
+        let mut x = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f64 * 0.25);
+        let before = x.clone();
+        let err = opt.step(vec![(&mut x, Matrix::ones(2, 3))]);
+        assert!(matches!(err, Err(NnError::InvalidConfig { .. })), "{err:?}");
+        assert_eq!(x, before);
+        assert_eq!(opt.state(), forged);
     }
 
     #[test]

@@ -71,21 +71,6 @@ proptest! {
     }
 
     #[test]
-    fn softmax_ce_at_least_uniform_entropy_bound(
-        seed in 0u64..100,
-        rows in 1usize..4,
-    ) {
-        // Loss for the true label can never beat -ln(1) = 0 and a uniform
-        // predictor scores exactly ln(C).
-        let mut rng = Rng64::seed_from_u64(seed);
-        let cols = 3;
-        let logits = Matrix::zeros(rows, cols);
-        let labels: Vec<usize> = (0..rows).map(|_| rng.below(cols).unwrap()).collect();
-        let (l, _) = loss::softmax_cross_entropy(&logits, &labels).unwrap();
-        prop_assert!((l - (cols as f64).ln()).abs() < 1e-9);
-    }
-
-    #[test]
     fn triplet_loss_nonnegative(
         a in prop::collection::vec(-2.0f64..2.0, 4),
         p in prop::collection::vec(-2.0f64..2.0, 4),
@@ -112,15 +97,15 @@ proptest! {
     }
 
     #[test]
-    fn backward_then_sgd_step_reduces_mse(seed in 0u64..50) {
-        use rll_nn::{Optimizer, Sgd};
+    fn backward_then_adam_step_reduces_mse(seed in 0u64..50) {
+        use rll_nn::{Adam, Optimizer};
         let mut mlp = mlp_with(seed, 3, 6, 2);
         let x = Matrix::from_fn(4, 3, |r, c| ((r * 3 + c) as f64 * 0.17).sin());
         let target = Matrix::from_fn(4, 2, |r, c| if (r + c) % 2 == 0 { 0.5 } else { -0.5 });
         let mut rng = Rng64::seed_from_u64(seed + 1);
 
         let before = loss::mse(&mlp.forward(&x).unwrap(), &target).unwrap().0;
-        let mut opt = Sgd::new(0.05).unwrap();
+        let mut opt = Adam::new(0.01).unwrap();
         for _ in 0..20 {
             mlp.zero_grad();
             let cache = mlp.forward_cached(&x, &mut rng).unwrap();

@@ -7,8 +7,8 @@
 //! - **Metrics** ([`MetricsRegistry`]): named counters, gauges, and
 //!   fixed-bucket histograms (p50/p95/p99), thread-safe and allocation-light
 //!   on the hot path.
-//! - **Spans** ([`span!`], [`SpanTimer`]): RAII wall-time guards that record
-//!   into duration histograms on drop.
+//! - **Spans** ([`SpanTimer`], from [`Recorder::span`]): RAII wall-time
+//!   guards that record into a histogram on drop.
 //! - **Events** ([`Event`], [`EventKind`]): typed, serde-serializable run
 //!   records fanned out through pluggable [`Sink`]s — [`NullSink`] (off),
 //!   [`StdoutSink`] (human-readable), [`JsonlSink`] (append-only
@@ -24,7 +24,7 @@
 //! let recorder = Recorder::disabled(); // or Recorder::for_experiment("table1", 42)
 //! recorder.run_start("table1", "quick", 42);
 //! {
-//!     let _timer = rll_obs::span!(recorder, "epoch");
+//!     let _timer = recorder.span("epoch");
 //!     recorder.metrics().counter("groups.sampled").add(256);
 //! }
 //! recorder.note("epoch 0 done");

@@ -1,72 +1,43 @@
 //! RAII wall-time spans.
 //!
 //! A [`SpanTimer`] measures the elapsed time between its creation and drop
-//! and records it (in seconds) into a [`Histogram`]. Use via
-//! [`crate::Recorder::span`] or the [`crate::span!`] macro:
+//! and records it (in seconds) into a [`Histogram`]. Take one from
+//! [`crate::Recorder::span`], or wrap any histogram with [`SpanTimer::new`]:
 //!
 //! ```
 //! use rll_obs::Recorder;
 //! let recorder = Recorder::disabled();
 //! {
-//!     let _epoch = rll_obs::span!(recorder, "epoch");
+//!     let _epoch = recorder.span("epoch");
 //!     // ... timed work ...
 //! } // recorded on drop
 //! assert_eq!(recorder.metrics().duration_histogram("span.epoch").count(), 1);
 //! ```
 
-use std::time::Instant;
-
+use crate::clock::Stopwatch;
 use crate::metrics::Histogram;
 
 /// Guard that records its lifetime into a histogram on drop.
 #[must_use = "a span records when dropped; binding it to `_` drops immediately"]
 pub struct SpanTimer {
     histogram: Histogram,
-    start: Instant,
-    recorded: bool,
+    clock: Stopwatch,
 }
 
 impl SpanTimer {
-    pub(crate) fn new(histogram: Histogram) -> Self {
+    /// Starts timing now; the elapsed seconds go into `histogram` on drop.
+    pub fn new(histogram: Histogram) -> Self {
         SpanTimer {
             histogram,
-            start: Instant::now(),
-            recorded: false,
+            clock: Stopwatch::start(),
         }
-    }
-
-    /// Seconds elapsed so far, without ending the span.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Ends the span early and returns the recorded duration in seconds.
-    pub fn finish(mut self) -> f64 {
-        self.record()
-    }
-
-    fn record(&mut self) -> f64 {
-        let secs = self.start.elapsed().as_secs_f64();
-        if !self.recorded {
-            self.recorded = true;
-            self.histogram.observe(secs);
-        }
-        secs
     }
 }
 
 impl Drop for SpanTimer {
     fn drop(&mut self) {
-        self.record();
+        self.histogram.observe(self.clock.elapsed_secs());
     }
-}
-
-/// `span!(recorder, "name")` — sugar for `recorder.span("name")`.
-#[macro_export]
-macro_rules! span {
-    ($recorder:expr, $name:expr) => {
-        $recorder.span($name)
-    };
 }
 
 #[cfg(test)]
@@ -83,14 +54,5 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count, 1);
         assert!(snap.max >= 0.002, "recorded {}", snap.max);
-    }
-
-    #[test]
-    fn finish_records_exactly_once() {
-        let h = Histogram::duration_seconds();
-        let span = SpanTimer::new(h.clone());
-        let secs = span.finish();
-        assert!(secs >= 0.0);
-        assert_eq!(h.snapshot().count, 1);
     }
 }

@@ -306,11 +306,6 @@ impl InferenceEngine {
         })
     }
 
-    /// Current queue depth (for metrics/tests).
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.lock().len()
-    }
-
     /// Lifetime cache hit/miss counts.
     pub fn cache_stats(&self) -> (u64, u64) {
         let cache = self.shared.cache.lock();

@@ -28,7 +28,7 @@ use crate::engine::{InferenceEngine, ServingModel};
 use crate::error::ServeError;
 use crate::http::{self, HttpError, ReadOutcome, Request};
 use crate::Result;
-use rll_obs::{EventKind, Histogram, Phase, Recorder, Stopwatch, TraceCtx};
+use rll_obs::{EventKind, Phase, Recorder, SpanTimer, Stopwatch, TraceCtx};
 use rll_par::OrderedRwLock;
 use serde::{Deserialize, Serialize};
 use std::io::BufReader;
@@ -179,26 +179,12 @@ impl Ctx {
     /// `serve.handler.<route>` when the guard drops, so early returns inside
     /// a handler are still counted (the `no-untimed-handler` lint keys on
     /// each handler taking one of these).
-    fn handler_latency(&self, route: &str) -> HandlerLatency {
-        HandlerLatency {
-            histogram: self
-                .recorder
+    fn handler_latency(&self, route: &str) -> SpanTimer {
+        SpanTimer::new(
+            self.recorder
                 .metrics()
                 .latency_histogram(&format!("serve.handler.{route}")),
-            clock: Stopwatch::start(),
-        }
-    }
-}
-
-/// Drop guard observing handler wall time into a latency histogram.
-struct HandlerLatency {
-    histogram: Histogram,
-    clock: Stopwatch,
-}
-
-impl Drop for HandlerLatency {
-    fn drop(&mut self) {
-        self.histogram.observe(self.clock.elapsed_secs());
+        )
     }
 }
 

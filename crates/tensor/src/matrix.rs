@@ -208,11 +208,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Checked element read.
     pub fn get(&self, r: usize, c: usize) -> Result<f64> {
         if r >= self.rows || c >= self.cols {
@@ -362,13 +357,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 

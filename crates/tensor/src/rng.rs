@@ -78,13 +78,6 @@ impl Rng64 {
         })
     }
 
-    /// Derives an independent child generator. Handy for giving each
-    /// cross-validation fold or worker its own stream while keeping the parent
-    /// replayable.
-    pub fn fork(&mut self) -> Rng64 {
-        Rng64::seed_from_u64(self.inner.gen())
-    }
-
     /// Uniform sample from `[0, 1)`.
     #[inline]
     pub fn uniform(&mut self) -> f64 {
@@ -366,17 +359,6 @@ mod tests {
         let mut b = Rng64::seed_from_u64(2);
         let same = (0..32).filter(|_| a.uniform() == b.uniform()).count();
         assert!(same < 4);
-    }
-
-    #[test]
-    fn fork_is_independent_and_deterministic() {
-        let mut parent1 = Rng64::seed_from_u64(5);
-        let mut parent2 = Rng64::seed_from_u64(5);
-        let mut c1 = parent1.fork();
-        let mut c2 = parent2.fork();
-        for _ in 0..10 {
-            assert_eq!(c1.uniform(), c2.uniform());
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Annotation-quality audit: agreement statistics, worker ranking, and
-//! spammer detection on a simulated crowd.
+//! Annotation-quality audit: worker ranking and spammer detection on a
+//! simulated crowd.
 //!
-//! Before training anything, a practitioner should ask: how consistent are my
+//! Before training anything, a practitioner should ask: how good are my
 //! annotators, and is anyone just clicking through? This example runs the
 //! audit tools on a crowd that contains a known spammer and a known
 //! adversary, then shows the paper's oral-vs-class agreement contrast.
@@ -11,9 +11,9 @@
 //! ```
 
 use rll::crowd::aggregate::DawidSkene;
-use rll::crowd::agreement::{agreement_report, cohens_kappa};
 use rll::crowd::quality::{detect_spammers, rank_workers, worker_qualities};
 use rll::crowd::simulate::{WorkerModel, WorkerPool};
+use rll::crowd::AnnotationMatrix;
 use rll::data::presets;
 use rll::tensor::Rng64;
 
@@ -30,24 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     let ann = pool.annotate(&truth, &mut rng)?;
 
-    println!("== agreement audit (600 items, 5 workers) ==");
-    let report = agreement_report(&ann)?;
-    println!(
-        "Fleiss kappa {:.3} | mean pairwise Cohen kappa {:.3} | split votes {:.0}%",
-        report.fleiss_kappa,
-        report.mean_cohens_kappa,
-        100.0 * report.split_vote_fraction
-    );
-    println!(
-        "kappa(worker0, worker1) = {:.3}  (two reliable workers)",
-        cohens_kappa(&ann, 0, 1)?
-    );
-    println!(
-        "kappa(worker0, worker4) = {:.3}  (reliable vs adversary — negative!)",
-        cohens_kappa(&ann, 0, 4)?
-    );
-
-    println!("\n== worker quality from the Dawid-Skene fit ==");
+    println!("== worker quality from the Dawid-Skene fit (600 items, 5 workers) ==");
     let fit = DawidSkene::default().fit(&ann)?;
     let qualities = worker_qualities(&fit, &ann)?;
     println!(
@@ -70,18 +53,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== the paper's task contrast ==");
     let oral = presets::oral_scaled(400, 11)?;
     let class = presets::class_scaled(400, 11)?;
-    let oral_report = agreement_report(&oral.annotations)?;
-    let class_report = agreement_report(&class.annotations)?;
     println!(
-        "oral : Fleiss kappa {:.3}, split votes {:.0}%",
-        oral_report.fleiss_kappa,
-        100.0 * oral_report.split_vote_fraction
+        "oral : split votes {:.0}%",
+        100.0 * split_vote_fraction(&oral.annotations)?
     );
     println!(
-        "class: Fleiss kappa {:.3}, split votes {:.0}%",
-        class_report.fleiss_kappa,
-        100.0 * class_report.split_vote_fraction
+        "class: split votes {:.0}%",
+        100.0 * split_vote_fraction(&class.annotations)?
     );
     println!("Judging a 65-minute class is far more ambiguous than judging a short\nspeech clip — the regime the RLL confidence estimator was designed for.");
     Ok(())
+}
+
+/// Fraction of items whose binary votes are not unanimous.
+fn split_vote_fraction(ann: &AnnotationMatrix) -> Result<f64, Box<dyn std::error::Error>> {
+    let mut split = 0;
+    for i in 0..ann.num_items() {
+        let positive = ann.positive_votes(i)?;
+        if positive > 0 && positive < ann.annotation_count(i)? {
+            split += 1;
+        }
+    }
+    Ok(split as f64 / ann.num_items() as f64)
 }

@@ -32,6 +32,14 @@ cargo build --workspace --all-targets
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== benchmark package (build + test against the workspace crates) =="
+# benchmark/ is a standalone package with path deps on crates/*, so nothing
+# above compiles it: deleting an API it imports would otherwise surface only
+# when the benchmark runs. --locked also proves benchmark/Cargo.lock is
+# untouched by dependency edits inside its graph.
+CARGO_TARGET_DIR=.bench_build cargo test --release --locked --offline \
+    --manifest-path benchmark/Cargo.toml
+
 echo "== serve smoke test =="
 # One real round trip through the serving stack: train a tiny checkpoint,
 # serve it on an ephemeral port, fire a seeded load burst, shut down. Gates
