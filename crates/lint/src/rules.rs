@@ -69,7 +69,8 @@ pub const RULES: &[Rule] = &[
         id: "no-untimed-handler",
         summary: "an HTTP handler (`fn handle_*`) with no latency instrumentation is a blind \
                   spot: its route never shows up in /metrics or traces",
-        hint: "open the handler with `let _latency = ctx.handler_latency(\"<route>\");` (or \
+        hint: "open the handler with \
+               `let _latency = ctx.handler_latency(\"serve.handler.<route>\");` (or \
                record through `.observe(`/`.span(`), or justify with \
                `// lint: allow(no-untimed-handler) — <why this route stays untimed>`",
     },

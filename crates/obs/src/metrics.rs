@@ -281,6 +281,20 @@ struct RegistryState {
     histograms: BTreeMap<String, Histogram>,
 }
 
+/// Handle for `name`, created by `make` on first use. A hit is a plain
+/// lookup: the owned key is only allocated when the entry is created, so
+/// the per-request lookups on the serving path allocate nothing.
+fn get_or_create<T: Clone>(
+    map: &mut BTreeMap<String, T>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> T {
+    if let Some(handle) = map.get(name) {
+        return handle.clone();
+    }
+    map.entry(name.to_string()).or_insert_with(make).clone()
+}
+
 /// Named metric registry shared across the instrumented pipeline.
 ///
 /// `counter`/`gauge`/`histogram` are get-or-create: repeated calls with the
@@ -296,52 +310,37 @@ impl MetricsRegistry {
     }
 
     pub fn counter(&self, name: &str) -> Counter {
-        self.state
-            .lock()
-            .counters
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        get_or_create(&mut self.state.lock().counters, name, Counter::default)
     }
 
     pub fn gauge(&self, name: &str) -> Gauge {
-        self.state
-            .lock()
-            .gauges
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        get_or_create(&mut self.state.lock().gauges, name, Gauge::default)
     }
 
     /// Get-or-create a histogram; `bounds` applies only on first creation.
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        self.state
-            .lock()
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::with_bounds(bounds))
-            .clone()
+        get_or_create(&mut self.state.lock().histograms, name, || {
+            Histogram::with_bounds(bounds)
+        })
     }
 
     /// Get-or-create a histogram with the default duration-seconds bounds.
     pub fn duration_histogram(&self, name: &str) -> Histogram {
-        self.state
-            .lock()
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(Histogram::duration_seconds)
-            .clone()
+        get_or_create(
+            &mut self.state.lock().histograms,
+            name,
+            Histogram::duration_seconds,
+        )
     }
 
     /// Get-or-create a histogram with the log-spaced request-latency bounds
     /// ([`Histogram::default_latency_bounds`]).
     pub fn latency_histogram(&self, name: &str) -> Histogram {
-        self.state
-            .lock()
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(Histogram::latency_seconds)
-            .clone()
+        get_or_create(
+            &mut self.state.lock().histograms,
+            name,
+            Histogram::latency_seconds,
+        )
     }
 
     pub fn snapshot(&self) -> MetricsSnapshot {

@@ -1,4 +1,6 @@
-//! The "zero-cost when disabled" contract of [`rll_obs::TraceCtx`].
+//! The "zero-cost when disabled" contract of [`rll_obs::TraceCtx`], and the
+//! allocation-free hit path of `MetricsRegistry` lookups that every served
+//! request makes.
 //!
 //! Lives in its own integration-test binary because it installs a counting
 //! `#[global_allocator]`. The count is per thread: the test harness runs the
@@ -72,6 +74,46 @@ fn disabled_trace_span_path_is_allocation_free_and_silent() {
     );
     assert!(sink.is_empty(), "disabled tracing emitted events");
     assert_eq!(recorder.events_emitted(), 0);
+}
+
+#[test]
+fn registry_lookup_of_an_existing_metric_is_allocation_free() {
+    let recorder = Recorder::disabled();
+    let metrics = recorder.metrics();
+    // First lookups create the entries (and may allocate).
+    metrics.counter("serve.http.requests").inc();
+    metrics
+        .latency_histogram("serve.handler.embed")
+        .observe(1e-4);
+    metrics
+        .duration_histogram("span.serve.request")
+        .observe(1e-4);
+    metrics.gauge("serve.model.dim").set(4.0);
+
+    let before = allocation_count();
+    for _ in 0..100 {
+        metrics.counter("serve.http.requests").inc();
+        metrics
+            .latency_histogram("serve.handler.embed")
+            .observe(1e-4);
+        metrics
+            .duration_histogram("span.serve.request")
+            .observe(1e-4);
+        metrics.gauge("serve.model.dim").set(4.0);
+    }
+    let after = allocation_count();
+
+    assert_eq!(
+        after - before,
+        0,
+        "registry lookups on a hit allocated {} times",
+        after - before
+    );
+    assert_eq!(metrics.counter("serve.http.requests").get(), 101);
+    assert_eq!(
+        metrics.latency_histogram("serve.handler.embed").count(),
+        101
+    );
 }
 
 #[test]

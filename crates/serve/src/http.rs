@@ -4,6 +4,11 @@
 //!
 //! - request line + headers + `Content-Length` bodies (no chunked encoding,
 //!   no TLS, no HTTP/2);
+//! - any `Transfer-Encoding` header is refused as malformed (400): chunked
+//!   coding is unsupported, and honouring `Content-Length` beside it is the
+//!   CL.TE request-smuggling shape (RFC 9112 §6.1);
+//! - each response leaves in one `write` (see
+//!   [`write_response_with_headers`]);
 //! - keep-alive with pipelining: a connection handler calls
 //!   [`read_request`] in a loop until the peer closes or sends
 //!   `Connection: close`;
@@ -260,6 +265,11 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<ReadOu
         }
     }
 
+    // Without this check a TE request would be framed by Content-Length (or
+    // as bodiless), leaving its chunk bytes to be read as the next request.
+    if headers.iter().any(|(n, _)| n == "transfer-encoding") {
+        return Err(malformed("Transfer-Encoding is not supported"));
+    }
     let content_length = parse_content_length(&headers, max_body)?;
 
     let body = match content_length {
@@ -310,6 +320,12 @@ pub fn write_response(
 /// [`write_response`] plus caller-supplied extra headers (e.g. the
 /// `x-rll-trace` trace-id header). Header names and values must already be
 /// wire-safe; this writer does no escaping.
+///
+/// The whole response is rendered into one buffer and handed to `writer`
+/// with a single `write_all`. The server's sockets are unbuffered with
+/// `TCP_NODELAY` set, so formatting straight into one would issue one
+/// `write` syscall per format fragment (17 for a small `/embed` answer),
+/// each free to leave as its own segment and wake the client separately.
 pub fn write_response_with_headers(
     writer: &mut impl Write,
     status: u16,
@@ -319,17 +335,20 @@ pub fn write_response_with_headers(
     keep_alive: bool,
     extra_headers: &[(&str, String)],
 ) -> std::io::Result<()> {
+    // 160 bytes covers the status line, the fixed headers and a trace id.
+    let mut wire = Vec::with_capacity(160 + body.len());
     write!(
-        writer,
+        wire,
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     )?;
     for (name, value) in extra_headers {
-        write!(writer, "{name}: {value}\r\n")?;
+        write!(wire, "{name}: {value}\r\n")?;
     }
-    writer.write_all(b"\r\n")?;
-    writer.write_all(body)?;
+    wire.extend_from_slice(b"\r\n");
+    wire.extend_from_slice(body);
+    writer.write_all(&wire)?;
     writer.flush()
 }
 
@@ -596,6 +615,143 @@ mod tests {
         let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
         raw.extend(std::iter::repeat_n(b'a', 20 * 1024));
         assert!(matches!(parse(&raw), Err(HttpError::Malformed { .. })));
+    }
+
+    #[test]
+    fn transfer_encoding_beside_content_length_is_400() {
+        // CL.TE: framing by Content-Length here while a front end frames by
+        // chunks would let the rest of the body smuggle a second request.
+        let err = parse(
+            b"POST /embed HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 2\r\n\r\n0\r\n\r\n",
+        )
+        .unwrap_err();
+        assert!(matches!(err, HttpError::Malformed { .. }), "{err}");
+        assert_eq!(err.status().0, 400);
+    }
+
+    #[test]
+    fn transfer_encoding_on_bodiless_get_is_400() {
+        // Taken as bodiless, the chunk bytes would be parsed as the next
+        // pipelined request ("bad request line \"5\"").
+        let err = parse(
+            b"GET /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+        )
+        .unwrap_err();
+        assert!(matches!(err, HttpError::Malformed { .. }), "{err}");
+        // Header names are matched case-insensitively, whatever the coding.
+        assert!(matches!(
+            parse(b"POST / HTTP/1.1\r\ntransfer-ENCODING: identity\r\nContent-Length: 0\r\n\r\n"),
+            Err(HttpError::Malformed { .. })
+        ));
+    }
+
+    /// The response formatter as it was before responses were buffered:
+    /// `write!` straight into the writer. Kept as the byte oracle for
+    /// [`write_response_with_headers`].
+    fn write_response_unbuffered(
+        writer: &mut impl Write,
+        status: u16,
+        reason: &str,
+        content_type: &str,
+        body: &[u8],
+        keep_alive: bool,
+        extra_headers: &[(&str, String)],
+    ) -> std::io::Result<()> {
+        write!(
+            writer,
+            "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+            body.len(),
+            if keep_alive { "keep-alive" } else { "close" },
+        )?;
+        for (name, value) in extra_headers {
+            write!(writer, "{name}: {value}\r\n")?;
+        }
+        writer.write_all(b"\r\n")?;
+        writer.write_all(body)?;
+        writer.flush()
+    }
+
+    /// A writer that keeps the bytes and counts the `write` calls that
+    /// carried them, as a socket would see them.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_is_one_write_with_the_oracle_bytes() {
+        let trace = [("x-rll-trace", "00000000deadbeef".to_string())];
+        let embed = br#"{"embeddings":[[0.125,-0.5,0.75,1.0]],"dim":4}"#;
+        // (status, reason, body, keep_alive, traced); untraced cases go
+        // through `write_response`, as the server's parse-error path does.
+        let cases: [(u16, &str, &[u8], bool, bool); 5] = [
+            (200, "OK", embed, true, true),
+            (200, "OK", embed, false, true),
+            (400, "Bad Request", br#"{"error":"bad"}"#, false, false),
+            (404, "Not Found", br#"{"error":"no route"}"#, true, false),
+            (200, "OK", b"", true, true),
+        ];
+        for (status, reason, body, keep_alive, traced) in cases {
+            let extra = if traced { &trace[..] } else { &[] };
+            let mut counted = CountingWriter::default();
+            if traced {
+                write_response_with_headers(
+                    &mut counted,
+                    status,
+                    reason,
+                    "application/json",
+                    body,
+                    keep_alive,
+                    extra,
+                )
+                .unwrap();
+            } else {
+                write_response(
+                    &mut counted,
+                    status,
+                    reason,
+                    "application/json",
+                    body,
+                    keep_alive,
+                )
+                .unwrap();
+            }
+            let mut oracle = CountingWriter::default();
+            write_response_unbuffered(
+                &mut oracle,
+                status,
+                reason,
+                "application/json",
+                body,
+                keep_alive,
+                extra,
+            )
+            .unwrap();
+            assert_eq!(
+                counted.writes, 1,
+                "status {status}, keep_alive {keep_alive}"
+            );
+            assert_eq!(
+                counted.bytes, oracle.bytes,
+                "status {status}, keep_alive {keep_alive}"
+            );
+            // The oracle really is fragmented, so the one write above is the
+            // buffering, not a formatter that happened to emit one piece.
+            assert!(oracle.writes > 1);
+        }
     }
 
     #[test]

@@ -176,15 +176,12 @@ impl Ctx {
     }
 
     /// Starts the per-route handler latency guard; the elapsed time lands in
-    /// `serve.handler.<route>` when the guard drops, so early returns inside
-    /// a handler are still counted (the `no-untimed-handler` lint keys on
-    /// each handler taking one of these).
-    fn handler_latency(&self, route: &str) -> SpanTimer {
-        SpanTimer::new(
-            self.recorder
-                .metrics()
-                .latency_histogram(&format!("serve.handler.{route}")),
-        )
+    /// the `key` histogram (`serve.handler.<route>`) when the guard drops,
+    /// so early returns inside a handler are still counted (the
+    /// `no-untimed-handler` lint keys on each handler taking one of these).
+    /// The key is a literal so the per-request lookup allocates nothing.
+    fn handler_latency(&self, key: &'static str) -> SpanTimer {
+        SpanTimer::new(self.recorder.metrics().latency_histogram(key))
     }
 }
 
@@ -400,7 +397,7 @@ fn route(ctx: &Ctx, request: &Request, trace: &TraceCtx) -> Routed {
 }
 
 fn handle_embed(ctx: &Ctx, body: &[u8], trace: &TraceCtx) -> Routed {
-    let _latency = ctx.handler_latency("embed");
+    let _latency = ctx.handler_latency("serve.handler.embed");
     let parsed: EmbedRequest = match parse_json(body) {
         Ok(p) => p,
         Err(resp) => return resp,
@@ -415,7 +412,7 @@ fn handle_embed(ctx: &Ctx, body: &[u8], trace: &TraceCtx) -> Routed {
 }
 
 fn handle_score(ctx: &Ctx, body: &[u8], trace: &TraceCtx) -> Routed {
-    let _latency = ctx.handler_latency("score");
+    let _latency = ctx.handler_latency("serve.handler.score");
     let parsed: ScoreRequest = match parse_json(body) {
         Ok(p) => p,
         Err(resp) => return resp,
@@ -427,7 +424,7 @@ fn handle_score(ctx: &Ctx, body: &[u8], trace: &TraceCtx) -> Routed {
 }
 
 fn handle_healthz(ctx: &Ctx) -> Routed {
-    let _latency = ctx.handler_latency("healthz");
+    let _latency = ctx.handler_latency("serve.handler.healthz");
     let model = ctx.engine.model();
     json_ok(&HealthResponse {
         status: "ok".to_string(),
@@ -443,7 +440,7 @@ fn handle_healthz(ctx: &Ctx) -> Routed {
 /// a corrupt or half-written file is rejected with `500` and the old model
 /// keeps serving.
 fn handle_reload(ctx: &Ctx) -> Routed {
-    let _latency = ctx.handler_latency("reload");
+    let _latency = ctx.handler_latency("serve.handler.reload");
     let Some(path) = &ctx.checkpoint_path else {
         return (
             400,
@@ -509,7 +506,7 @@ fn label_error_response(e: &rll_label::LabelError) -> Routed {
 /// confidence, and answer with the durable receipt. The vote is on disk
 /// before the `200` leaves the socket.
 fn handle_label(ctx: &Ctx, body: &[u8], trace: &TraceCtx) -> Routed {
-    let _latency = ctx.handler_latency("label");
+    let _latency = ctx.handler_latency("serve.handler.label");
     let Some(store) = &ctx.labels else {
         return labels_disabled();
     };
@@ -538,7 +535,7 @@ fn handle_label(ctx: &Ctx, body: &[u8], trace: &TraceCtx) -> Routed {
 /// for the run; a no-op (nothing deleted) until a completed retrain round
 /// has published a manifest.
 fn handle_compact(ctx: &Ctx) -> Routed {
-    let _latency = ctx.handler_latency("compact");
+    let _latency = ctx.handler_latency("serve.handler.compact");
     let Some(store) = &ctx.labels else {
         return labels_disabled();
     };
@@ -550,7 +547,7 @@ fn handle_compact(ctx: &Ctx) -> Routed {
 
 /// `GET /labels` — deterministic snapshot of every voted example.
 fn handle_labels_snapshot(ctx: &Ctx) -> Routed {
-    let _latency = ctx.handler_latency("labels");
+    let _latency = ctx.handler_latency("serve.handler.labels");
     let Some(store) = &ctx.labels else {
         return labels_disabled();
     };
@@ -562,7 +559,7 @@ fn handle_labels_snapshot(ctx: &Ctx) -> Routed {
 
 /// `GET /labels/<id>` — one example's live confidence.
 fn handle_label_get(ctx: &Ctx, id: &str) -> Routed {
-    let _latency = ctx.handler_latency("labels_id");
+    let _latency = ctx.handler_latency("serve.handler.labels_id");
     let Some(store) = &ctx.labels else {
         return labels_disabled();
     };
@@ -587,7 +584,7 @@ fn handle_label_get(ctx: &Ctx, id: &str) -> Routed {
 }
 
 fn handle_metrics(ctx: &Ctx, query: &str) -> Routed {
-    let _latency = ctx.handler_latency("metrics");
+    let _latency = ctx.handler_latency("serve.handler.metrics");
     let snapshot = ctx.recorder.metrics().snapshot();
     if query.split('&').any(|kv| kv == "format=text") {
         return (

@@ -251,6 +251,37 @@ fn conflicting_content_lengths_get_400() {
 }
 
 #[test]
+fn transfer_encoding_gets_400_and_closes_the_connection() {
+    let h = Harness::start(18, ServerConfig::default());
+    // Two framings on one request, the shape behind CL.TE smuggling. The
+    // server must refuse and close, not frame by Content-Length (here the
+    // 5-byte last chunk) and then answer the trailing `GET` as pipelined.
+    let (mut reader, mut writer) = h.connect();
+    writer
+        .write_all(
+            b"POST /embed HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\
+              Content-Length: 5\r\n\r\n0\r\n\r\n\
+              GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+        )
+        .expect("write");
+    let response = http::read_response(&mut reader).expect("response");
+    assert_eq!(response.status, 400);
+    let err: rll_serve::ErrorResponse = json(&response);
+    assert!(
+        err.error.contains("Transfer-Encoding"),
+        "got: {}",
+        err.error
+    );
+    let mut rest = Vec::new();
+    let n = reader.read_to_end(&mut rest).expect("read to end");
+    assert_eq!(n, 0, "connection must close after the TE 400, got {rest:?}");
+    // A fresh connection is still served.
+    let health = h.roundtrip("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert_eq!(health.status, 200);
+    h.stop();
+}
+
+#[test]
 fn wrong_dimension_gets_400_with_error_body() {
     let h = Harness::start(8, ServerConfig::default());
     let response = h.post_json("/embed", r#"{"features":[[1.0,2.0]]}"#);

@@ -81,10 +81,24 @@ curl -sf -m 10 "http://$(head -n1 "$SMOKE_DIR/port")/healthz" >/dev/null || {
     echo "serve smoke FAILED: /healthz did not answer 200 after the nested body"
     exit 1
 }
+# Request-smuggling probe: a `Transfer-Encoding` request must be refused
+# with 400 (and its connection closed), never framed by a Content-Length
+# or read as bodiless with its chunks left over as the next request.
+TE_STATUS=$(curl -s -m 10 -o /dev/null -w '%{http_code}' -H 'Expect:' \
+    -H 'Transfer-Encoding: chunked' --data-binary '{"features":[[0,0,0]]}' \
+    "http://$(head -n1 "$SMOKE_DIR/port")/embed")
+[ "$TE_STATUS" = 400 ] || {
+    echo "serve smoke FAILED: Transfer-Encoding request got HTTP $TE_STATUS, want 400"
+    exit 1
+}
+curl -sf -m 10 "http://$(head -n1 "$SMOKE_DIR/port")/healthz" >/dev/null || {
+    echo "serve smoke FAILED: /healthz did not answer 200 after the Transfer-Encoding probe"
+    exit 1
+}
 kill "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
-echo "serve smoke test ok (incl. hostile nested body → 400)"
+echo "serve smoke test ok (incl. hostile nested body → 400, Transfer-Encoding → 400)"
 
 echo "== tracing gate (trace/v1 JSONL valid; profiling never changes bytes) =="
 # Re-run the smoke serve with request tracing on, then validate the emitted
