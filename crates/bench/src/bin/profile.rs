@@ -1,49 +1,27 @@
-//! `profile` — offline reporting over rll-obs JSONL (traces + profiles).
-//!
-//! Three modes, all reading the event JSONL that `Recorder` sinks append:
+//! `profile` — validator for serve `--trace-out` JSONL.
 //!
 //! ```text
-//! profile --run PATH                 merge EpochProfile events into one
-//!                                    flamegraph-style self/total-time table
-//! profile --trace PATH [--trace-id HEX]
-//!                                    per-request phase breakdown; with no
-//!                                    id, lists every trace and expands the
-//!                                    slowest one
 //! profile --validate PATH            check every trace/v1 record (schema,
 //!                                    id format, phase ordering); non-zero
 //!                                    exit on any violation — the CI gate
 //! ```
 //!
-//! `--run` ingests a training run's JSONL (e.g. `results/runs/<id>.jsonl`
-//! from `serve train-demo --profile`); `--trace`/`--validate` ingest a
-//! serve `--trace-out` file. Lines that are not parseable events are
-//! counted and reported, never silently dropped.
+//! A line that does not parse as an event fails the run. Per-phase timings
+//! are reported by `bash benchmark/run.sh`.
 
-use rll_obs::{trace_id, Event, EventKind, ProfileNode, TraceRecord, TRACE_SCHEMA};
+use rll_obs::{trace_id, Event, EventKind, TraceRecord, TRACE_SCHEMA};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage:
-  profile --run PATH
-  profile --trace PATH [--trace-id HEX]
-  profile --validate PATH";
+const USAGE: &str = "usage: profile --validate PATH";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let result = if let Some(path) = value_of("--run") {
-        run_report(&path)
-    } else if let Some(path) = value_of("--trace") {
-        trace_report(&path, value_of("--trace-id").as_deref())
-    } else if let Some(path) = value_of("--validate") {
-        validate_report(&path)
-    } else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
+    let result = match args.as_slice() {
+        [flag, path] if flag == "--validate" => validate_report(path),
+        _ => {
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -82,135 +60,6 @@ fn traces_of(events: &[Event]) -> Vec<&TraceRecord> {
         })
         .collect()
 }
-
-// ---------------------------------------------------------------- --run --
-
-fn run_report(path: &str) -> Result<(), String> {
-    let (events, skipped) = load_events(path)?;
-    let mut merged: Option<ProfileNode> = None;
-    let mut epochs = 0usize;
-    for event in &events {
-        if let EventKind::EpochProfile(stats) = &event.kind {
-            epochs += 1;
-            match &mut merged {
-                Some(root) => root.merge(&stats.root),
-                None => merged = Some(stats.root.clone()),
-            }
-        }
-    }
-    let Some(root) = merged else {
-        return Err(format!(
-            "no EpochProfile events in {path} — was training run with profiling enabled \
-             (e.g. `serve train-demo --profile`)?"
-        ));
-    };
-    println!(
-        "profile: {epochs} epoch(s) merged from {path} ({} events, {skipped} unparseable lines)",
-        events.len()
-    );
-    print!("{}", root.render_table());
-    Ok(())
-}
-
-// -------------------------------------------------------------- --trace --
-
-fn trace_report(path: &str, wanted_id: Option<&str>) -> Result<(), String> {
-    let (events, skipped) = load_events(path)?;
-    let traces = traces_of(&events);
-    if traces.is_empty() {
-        return Err(format!("no trace/v1 records in {path}"));
-    }
-    if skipped > 0 {
-        println!("note: {skipped} unparseable line(s) skipped");
-    }
-    if let Some(id) = wanted_id {
-        let record = traces
-            .iter()
-            .find(|t| t.trace_id == id)
-            .ok_or_else(|| format!("trace id {id} not found in {path}"))?;
-        print!("{}", render_trace(record));
-        return Ok(());
-    }
-    println!(
-        "{:<18} {:<6} {:<12} {:>6} {:>12} {:>8}",
-        "trace_id", "method", "path", "status", "total_ms", "phases"
-    );
-    for t in &traces {
-        println!(
-            "{:<18} {:<6} {:<12} {:>6} {:>12.3} {:>8}",
-            t.trace_id,
-            t.method,
-            t.path,
-            t.status,
-            t.total_secs * 1e3,
-            t.phases.len()
-        );
-    }
-    let slowest = traces
-        .iter()
-        .max_by(|a, b| a.total_secs.total_cmp(&b.total_secs))
-        .expect("non-empty");
-    println!("\nslowest request:");
-    print!("{}", render_trace(slowest));
-    Ok(())
-}
-
-/// Renders one trace as a per-phase table: where inside the request the
-/// phase started, how long it ran, and its share of the request's total.
-fn render_trace(record: &TraceRecord) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "trace {} {} {} -> {} in {:.3}ms (conn {}, req {})",
-        record.trace_id,
-        record.method,
-        record.path,
-        record.status,
-        record.total_secs * 1e3,
-        record.conn_seq,
-        record.req_seq
-    );
-    let _ = writeln!(
-        out,
-        "  {:<16} {:>12} {:>12} {:>8}",
-        "phase", "start_ms", "dur_ms", "%total"
-    );
-    let mut attributed = 0.0;
-    for p in &record.phases {
-        attributed += p.secs;
-        let share = if record.total_secs > 0.0 {
-            100.0 * p.secs / record.total_secs
-        } else {
-            0.0
-        };
-        let _ = writeln!(
-            out,
-            "  {:<16} {:>12.3} {:>12.3} {:>7.1}%",
-            p.phase,
-            p.start_secs * 1e3,
-            p.secs * 1e3,
-            share
-        );
-    }
-    let gap = (record.total_secs - attributed).max(0.0);
-    let share = if record.total_secs > 0.0 {
-        100.0 * gap / record.total_secs
-    } else {
-        0.0
-    };
-    let _ = writeln!(
-        out,
-        "  {:<16} {:>12} {:>12.3} {:>7.1}%",
-        "(unattributed)",
-        "-",
-        gap * 1e3,
-        share
-    );
-    out
-}
-
-// ----------------------------------------------------------- --validate --
 
 /// Checks one trace record against the `trace/v1` contract. Returns every
 /// violation, not just the first, so a broken producer is diagnosable from
@@ -353,15 +202,6 @@ mod tests {
             problems.iter().any(|p| p.contains("FNV-1a")),
             "{problems:?}"
         );
-    }
-
-    #[test]
-    fn rendered_trace_covers_every_phase_and_the_gap() {
-        let table = render_trace(&good_record());
-        assert!(table.contains("parse"), "{table}");
-        assert!(table.contains("forward"), "{table}");
-        assert!(table.contains("(unattributed)"), "{table}");
-        assert!(table.contains("POST"), "{table}");
     }
 
     #[test]

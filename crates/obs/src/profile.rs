@@ -3,13 +3,13 @@
 //! A [`ProfileNode`] is one frame of a call-tree profile: a name, how many
 //! times the frame ran, its **total** (inclusive) wall seconds, and its
 //! children. *Self* time — the share not attributable to any child — is
-//! derived, not stored, so merging trees can never desynchronize the two.
+//! derived, not stored, so the two can never disagree.
 //!
 //! The trainer builds one tree per epoch (sample → shard fan-out
 //! {forward, backward} → shard-reduce → adam step → snapshot write), emits
 //! it as an [`crate::EventKind::EpochProfile`] event, and appends it to the
-//! `TrainingTrace`; the `profile` bin merges the per-epoch trees and prints
-//! a flamegraph-style table ([`ProfileNode::render_table`]).
+//! `TrainingTrace`; the benchmark reads the frames as its `core.profile.*`
+//! layer metrics.
 //!
 //! Profiling only *reads* clocks (via [`crate::Stopwatch`]) — it never
 //! touches the RNG stream or reorders float math, so a profiled run's
@@ -64,57 +64,6 @@ impl ProfileNode {
     pub fn self_secs(&self) -> f64 {
         let child_total: f64 = self.children.iter().map(|c| c.total_secs).sum();
         (self.total_secs - child_total).max(0.0)
-    }
-
-    /// Folds `other` into `self` by frame name, recursively. Children
-    /// present only in `other` are appended.
-    pub fn merge(&mut self, other: &ProfileNode) {
-        self.calls += other.calls;
-        self.total_secs += other.total_secs;
-        for theirs in &other.children {
-            if let Some(i) = self.children.iter().position(|c| c.name == theirs.name) {
-                self.children[i].merge(theirs);
-            } else {
-                self.children.push(theirs.clone());
-            }
-        }
-    }
-
-    /// Renders the tree as a flamegraph-style text table: one indented row
-    /// per frame with total/self seconds, call count, and share of the
-    /// root's total.
-    pub fn render_table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<38} {:>12} {:>12} {:>8} {:>7}",
-            "frame", "total_s", "self_s", "calls", "%root"
-        );
-        let root_total = self.total_secs;
-        self.render_rows(&mut out, 0, root_total);
-        out
-    }
-
-    fn render_rows(&self, out: &mut String, depth: usize, root_total: f64) {
-        use std::fmt::Write as _;
-        let label = format!("{}{}", "  ".repeat(depth), self.name);
-        let share = if root_total > 0.0 {
-            100.0 * self.total_secs / root_total
-        } else {
-            0.0
-        };
-        let _ = writeln!(
-            out,
-            "{label:<38} {:>12.6} {:>12.6} {:>8} {:>6.1}%",
-            self.total_secs,
-            self.self_secs(),
-            self.calls,
-            share
-        );
-        for child in &self.children {
-            child.render_rows(out, depth + 1, root_total);
-        }
     }
 }
 
@@ -177,35 +126,6 @@ mod tests {
         assert_eq!(root.children.len(), 2);
         assert_eq!(root.children[0].calls, 2);
         assert_eq!(root.children[0].total_secs, 3.0);
-    }
-
-    #[test]
-    fn merge_folds_by_name_recursively() {
-        let mut a = sample_tree();
-        let b = sample_tree();
-        a.merge(&b);
-        assert_eq!(a.calls, 2);
-        assert_eq!(a.total_secs, 2.0);
-        let fanout = &a.children[0];
-        assert_eq!(fanout.total_secs, 1.4);
-        assert_eq!(fanout.children[0].calls, 2); // forward merged, not duplicated
-        assert_eq!(a.children.len(), 2);
-        // A child only the other tree has is appended.
-        let mut c = ProfileNode::new("epoch");
-        let mut extra = ProfileNode::new("snapshot_write");
-        extra.add(0.05);
-        c.children.push(extra);
-        a.merge(&c);
-        assert!(a.children.iter().any(|n| n.name == "snapshot_write"));
-    }
-
-    #[test]
-    fn render_table_lists_every_frame() {
-        let table = sample_tree().render_table();
-        for frame in ["epoch", "shard_fanout", "forward", "backward", "adam_step"] {
-            assert!(table.contains(frame), "missing {frame} in:\n{table}");
-        }
-        assert!(table.contains("%root"));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! ephemeral port; `--port-file` writes the resolved `host:port` so scripts
 //! (e.g. the CI smoke test) can find it. `--trace-out` enables request
 //! tracing: every request appends one `trace/v1` JSON line to the given file
-//! (readable by `profile --trace`/`--validate`).
+//! (checked by `profile --validate`).
 //!
 //! `--labels-dir` turns on **live labeling**: crowd votes posted to
 //! `POST /label` are appended to a sharded WAL in that directory (replayed on

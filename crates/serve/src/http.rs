@@ -17,7 +17,7 @@
 //!   the `no-panic-lib` invariant and the parser test-suite both enforce.
 //!
 //! A tiny client-side [`read_response`] lives here too, shared by the
-//! `loadgen` binary and the integration tests.
+//! `loadgen` gate driver and the integration tests.
 
 use std::io::{BufRead, Write};
 

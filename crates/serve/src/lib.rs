@@ -21,8 +21,8 @@
 //!    cache hit rate, queue depth, latency quantiles), and `POST /reload`
 //!    (hot-swap a newer checkpoint from disk without dropping connections).
 //! 4. **bins** — `serve` (train-demo + load checkpoint + listen) and
-//!    `loadgen` (seeded deterministic load generator writing a
-//!    latency/throughput summary to `results/serve_bench.json`).
+//!    `loadgen` (seeded deterministic gate driver: exits non-zero on a
+//!    dropped request, a mismatched duplicate receipt, or a missed reload).
 //!
 //! Determinism contract: checkpoint round-trips are bit-exact, and batched
 //! inference equals unbatched inference with exact float equality, so a

@@ -65,8 +65,7 @@ for _ in $(seq 1 50); do
 done
 [ -s "$SMOKE_DIR/port" ] || { echo "serve never wrote its port file"; exit 1; }
 ./target/release/loadgen --addr "$(head -n1 "$SMOKE_DIR/port")" \
-    --requests 50 --concurrency 2 --seed 42 \
-    --out "$SMOKE_DIR/serve_bench.json" >/dev/null
+    --requests 50 --concurrency 2 --seed 42 >/dev/null
 # Hostile-body probe: 200 000 `[` fit under the 1 MiB body cap. The JSON
 # nesting cap must answer 400; without it the parser overflows the
 # connection thread's stack and the whole process aborts.
@@ -116,8 +115,7 @@ for _ in $(seq 1 50); do
 done
 [ -s "$SMOKE_DIR/trace_port" ] || { echo "traced serve never wrote its port file"; exit 1; }
 ./target/release/loadgen --addr "$(head -n1 "$SMOKE_DIR/trace_port")" \
-    --requests 50 --concurrency 2 --seed 42 \
-    --out "$SMOKE_DIR/traced_bench.json" >/dev/null
+    --requests 50 --concurrency 2 --seed 42 >/dev/null
 kill "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
@@ -195,7 +193,6 @@ start_label_serve() { # $1 = port file, $2 = vote floor, $3 = trigger, $4 = comp
     [ -s "$1" ] || { echo "label serve never wrote its port file"; exit 1; }
 }
 wal_bytes() { find "$LABEL_DIR" -name '*.rllwal' -printf '%s\n' 2>/dev/null | awk '{s+=$1} END {print s+0}'; }
-soak_field() { sed -n "s/.*\"$1\": *\([0-9][0-9]*\).*/\1/p" "$SMOKE_DIR/label_soak.json" | head -n1; }
 # Waits until the retrain manifest is complete and unchanged for a second:
 # no round is running, and none is due (the loop polls every 200 ms). A
 # round still running when the gate kills the server or POSTs /compact
@@ -217,12 +214,11 @@ LABEL_ADDR=$(head -n1 "$SMOKE_DIR/label_port")
 ./target/release/loadgen --addr "$LABEL_ADDR" \
     --requests 300 --concurrency 3 --seed 42 \
     --labels --label-frac 0.4 --label-preset oral --label-n 80 --label-seed 42 \
-    --label-workers 8 --label-flip 0.1 --label-dup-frac 0.1 \
-    --expect-reloads 1 --expect-compactions 1 --reload-wait 120 --strict \
-    --out "$SMOKE_DIR/label_bench.json" \
-    --labels-out "$SMOKE_DIR/label_soak.json" >/dev/null
+    --label-workers 8 --label-dup-frac 0.1 \
+    --expect-reloads 1 --expect-compactions 1 --reload-wait 120 --strict >/dev/null
 # The soak's auto-compaction must have actually reclaimed log bytes.
-RECLAIMED=$(soak_field bytes_reclaimed)
+RECLAIMED=$(curl -sf "http://$LABEL_ADDR/metrics?format=text" \
+    | sed -n 's/^label\.compact\.bytes_reclaimed \([0-9]*\)$/\1/p' || true)
 [ -n "$RECLAIMED" ] && [ "$RECLAIMED" -gt 0 ] || {
     echo "label soak gate FAILED: compaction ran but reclaimed ${RECLAIMED:-0} bytes"
     exit 1
@@ -238,9 +234,7 @@ curl -sf "http://$LABEL_ADDR/labels" > "$SMOKE_DIR/labels_before.json"
 ./target/release/loadgen --addr "$LABEL_ADDR" \
     --requests 400 --concurrency 2 --seed 7 \
     --labels --label-frac 1.0 --label-preset oral --label-n 80 --label-seed 42 \
-    --label-workers 8 \
-    --out "$SMOKE_DIR/burst_bench.json" \
-    --labels-out "$SMOKE_DIR/burst_soak.json" >/dev/null 2>&1 &
+    --label-workers 8 >/dev/null 2>&1 &
 BURST_PID=$!
 sleep 0.2
 kill -9 "$SERVE_PID"
@@ -280,9 +274,7 @@ LABEL_ADDR4=$(head -n1 "$SMOKE_DIR/label_port4")
 ./target/release/loadgen --addr "$LABEL_ADDR4" \
     --requests 150 --concurrency 2 --seed 9 \
     --labels --label-frac 0.8 --label-preset oral --label-n 80 --label-seed 42 \
-    --label-workers 8 \
-    --out "$SMOKE_DIR/backlog_bench.json" \
-    --labels-out "$SMOKE_DIR/backlog_soak.json" >/dev/null
+    --label-workers 8 >/dev/null
 for _ in $(seq 1 120); do
     ROUNDS=$(curl -sf "http://$LABEL_ADDR4/metrics?format=text" \
         | sed -n 's/^label\.retrain\.rounds \([0-9]*\)$/\1/p' || true)
