@@ -57,8 +57,8 @@ pub struct TrainStateMeta {
     /// FNV-1a hash of the serialized [`RllConfig`]; resuming under a
     /// different config would silently change the math, so it is rejected.
     pub config_hash: u64,
-    /// Seed of the training run. Resume re-derives labels, confidences, and
-    /// shard RNGs from it; the main stream continues from [`TrainState::rng`].
+    /// Seed of the training run. Resume re-derives labels and confidences
+    /// from the data; the sampling stream continues from [`TrainState::rng`].
     pub seed: u64,
     /// Epochs fully completed when this snapshot was taken; training resumes
     /// at this epoch index.

@@ -346,6 +346,16 @@ impl RllTrainer {
                 ),
             });
         }
+        // RllModel::new always builds the encoder with dropout 0 and the
+        // shard pass draws no dropout masks, so a snapshot carrying any
+        // other rate (or a NaN) was not written by this trainer and would
+        // train differently from its config.
+        let dropout = state.model.mlp().dropout();
+        if dropout.to_bits() != 0.0f64.to_bits() {
+            return Err(RllError::ResumeMismatch {
+                reason: format!("snapshot encoder has dropout {dropout}, the trainer uses 0"),
+            });
+        }
         let snapshot_dim = state.model.config().input_dim;
         if snapshot_dim != features.cols() {
             return Err(RllError::ResumeMismatch {
@@ -494,36 +504,50 @@ impl RllTrainer {
                 let mlp = model.mlp();
                 let groups = &groups;
                 let confidences = &confidences;
-                rll_par::try_map_ordered_timed(&shards, self.threads, |shard_idx, range| {
-                    // The RLL encoder trains with dropout 0, so this rng is
-                    // never consulted; seeding it from (seed, epoch, shard)
-                    // keeps the stream thread-count-independent if a future
-                    // config ever enables dropout.
-                    let mut shard_rng = Rng64::seed_from_u64(
-                        seed ^ ((epoch as u64) << 24) ^ ((shard_idx as u64) << 8),
-                    );
+                rll_par::try_map_ordered_timed(&shards, self.threads, |_, range| {
+                    let shard = &groups[range.clone()];
                     let mut local = mlp.clone();
                     local.zero_grad();
+                    // One forward and one backward over the shard's stacked
+                    // member rows, each group a segment of `ends`. Rows and
+                    // per-group gradient sums keep their per-group bits
+                    // (DESIGN.md §11). Shards are the parallel unit, so
+                    // their products run on this thread.
+                    let forward_start = Stopwatch::start();
+                    let mut members = Vec::with_capacity(shard.len() * (self.config.k + 2));
+                    let mut ends = Vec::with_capacity(shard.len());
+                    for group in shard {
+                        members.extend_from_slice(&group.members());
+                        ends.push(members.len());
+                    }
+                    let cache =
+                        local.forward_cached_with(&features.select_rows(&members)?, None, 1)?;
+                    let dim = cache.output().cols();
+                    let mut grads = Matrix::zeros(members.len(), dim);
+                    let mut cand_conf = Vec::with_capacity(self.config.k + 1);
                     let mut loss_sum = 0.0;
-                    let mut forward_secs = 0.0;
-                    let mut backward_secs = 0.0;
-                    for group in &groups[range.clone()] {
-                        let members = group.members();
-                        let forward_start = Stopwatch::start();
-                        let member_features = features.select_rows(&members)?;
-                        let cache = local.forward_cached(&member_features, &mut shard_rng)?;
+                    let mut start = 0;
+                    for &end in &ends {
+                        let rows = start * dim..end * dim;
+                        let embeddings = Matrix::from_vec(
+                            end - start,
+                            dim,
+                            cache.output().as_slice()[rows.clone()].to_vec(),
+                        )?;
                         // Candidate confidences: δ_j for the positive, then
                         // the negatives' δ, in member order.
-                        let cand_conf: Vec<f64> =
-                            members[1..].iter().map(|&m| confidences[m]).collect();
-                        let (loss, grads) =
-                            group_softmax_loss(cache.output(), &cand_conf, self.config.eta)?;
-                        forward_secs += forward_start.elapsed_secs();
+                        cand_conf.clear();
+                        cand_conf.extend(members[start + 1..end].iter().map(|&m| confidences[m]));
+                        let (loss, group_grads) =
+                            group_softmax_loss(&embeddings, &cand_conf, self.config.eta)?;
                         loss_sum += loss;
-                        let backward_start = Stopwatch::start();
-                        local.backward(&cache, &grads)?;
-                        backward_secs += backward_start.elapsed_secs();
+                        grads.as_mut_slice()[rows].copy_from_slice(group_grads.as_slice());
+                        start = end;
                     }
+                    let forward_secs = forward_start.elapsed_secs();
+                    let backward_start = Stopwatch::start();
+                    local.backward_segments(&cache, &grads, &ends, 1)?;
+                    let backward_secs = backward_start.elapsed_secs();
                     Ok::<_, RllError>((loss_sum, forward_secs, backward_secs, local))
                 })?
             };
@@ -1034,6 +1058,46 @@ mod tests {
         let forged = TrainState::load(&path).unwrap();
         let resumed = RllTrainer::new(cfg).unwrap().resume(&x, &ann, forged);
         assert!(matches!(resumed, Err(RllError::Nn(_))), "{resumed:?}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resume_rejects_forged_dropout() {
+        // A checksum-valid snapshot whose encoder carries a dropout rate the
+        // trainer never uses must be refused, not trained with that rate.
+        let (x, ann, _) = crowd_dataset(40, 39);
+        let cfg = fast_config(RllVariant::Bayesian);
+        let dir = std::env::temp_dir().join("rll_core_resume_dropout_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.rllstate");
+        let trainer = RllTrainer::new(cfg.clone())
+            .unwrap()
+            .with_checkpoint_policy(CheckpointPolicy::every(&path, 2).unwrap())
+            .with_fault_plan(FaultPlan {
+                kill_after_epoch: 3,
+            });
+        assert!(matches!(
+            trainer.fit(&x, &ann, 40),
+            Err(RllError::Interrupted { .. })
+        ));
+        let model = serde_json::to_string(&TrainState::load(&path).unwrap().model).unwrap();
+        // The only dropout field is the encoder's, written as `0`.
+        let field = "\"dropout\":0}";
+        assert_eq!(model.matches(field).count(), 1);
+        for forged_rate in ["0.5", "-0.25"] {
+            let mut state = TrainState::load(&path).unwrap();
+            let forged = model.replace(field, &format!("\"dropout\":{forged_rate}}}"));
+            state.model = serde_json::from_str(&forged).unwrap();
+            state.save(&path).unwrap();
+            let forged = TrainState::load(&path).unwrap();
+            let resumed = RllTrainer::new(cfg.clone())
+                .unwrap()
+                .resume(&x, &ann, forged);
+            assert!(
+                matches!(resumed, Err(RllError::ResumeMismatch { .. })),
+                "dropout {forged_rate}: {resumed:?}"
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -3,6 +3,7 @@
 use crate::activation::Activation;
 use crate::error::NnError;
 use crate::Result;
+use rll_tensor::matrix::matmul_threads;
 use rll_tensor::{init::Init, Matrix, Rng64};
 use serde::{Deserialize, Serialize};
 
@@ -107,19 +108,32 @@ impl Dense {
         Ok(z.map(|v| self.activation.apply(v)))
     }
 
+    /// Workers for this layer's products over `rows` input rows: the size
+    /// heuristic of [`rll_tensor::matrix::matmul_threads`], capped at
+    /// `max_threads`. Forward, weight-gradient and input-gradient products
+    /// all do `rows·in·out` multiply-adds, so one count serves all three.
+    fn threads(&self, rows: usize, max_threads: usize) -> usize {
+        matmul_threads(rows, self.in_dim(), self.out_dim()).min(max_threads)
+    }
+
     /// Training-mode forward pass; returns output plus the cache backward
-    /// needs. `dropout_rate` in `[0, 1)` applies inverted dropout to the layer
-    /// output when `Some`.
+    /// needs. `dropout` is a rate in `[0, 1)` and the generator for the
+    /// inverted-dropout mask on the layer output, or `None` for no dropout.
+    /// Products run on at most `max_threads` workers; every output row is
+    /// its own chain (DESIGN.md §17), so rows never depend on their
+    /// neighbours and a stacked batch gives each row the bits it would get
+    /// alone.
     pub fn forward_cached(
         &self,
         input: &Matrix,
-        dropout_rate: Option<f64>,
-        rng: &mut Rng64,
+        dropout: Option<(f64, &mut Rng64)>,
+        max_threads: usize,
     ) -> Result<DenseCache> {
-        let pre = input.matmul_bias(&self.weights, &self.bias)?;
+        let threads = self.threads(input.rows(), max_threads);
+        let pre = input.matmul_bias_with_threads(&self.weights, &self.bias, threads)?;
         let mut output = pre.map(|v| self.activation.apply(v));
-        let dropout_mask = match dropout_rate {
-            Some(rate) if rate > 0.0 => {
+        let dropout_mask = match dropout {
+            Some((rate, rng)) if rate > 0.0 => {
                 if rate >= 1.0 {
                     return Err(NnError::InvalidConfig {
                         reason: format!("dropout rate must be < 1, got {rate}"),
@@ -148,8 +162,30 @@ impl Dense {
 
     /// Backward pass. `grad_output` is `dL/d(output)` with the same shape as
     /// the cached output. Accumulates `dL/dW` and `dL/db` into the layer's
-    /// gradient buffers and returns `dL/d(input)`.
+    /// gradient buffers and returns `dL/d(input)`. It is the segmented
+    /// backward behind [`crate::Mlp::backward_segments`] with one segment,
+    /// plus the input gradient.
     pub fn backward(&mut self, cache: &DenseCache, grad_output: &Matrix) -> Result<Matrix> {
+        let rows = grad_output.rows();
+        let grad_pre = self.backward_segments(cache, grad_output, &[rows], usize::MAX)?;
+        self.input_grad(&grad_pre, usize::MAX)
+    }
+
+    /// Backward pass over a stack of independent batches: `ends` are the
+    /// ascending exclusive row ends of consecutive segments, the last one
+    /// the row count. Each segment's `dL/dW = xᵀ·dL/dz` and
+    /// `dL/db = Σ dL/dz` starts from `+0.0` and folds that segment's rows
+    /// in order, and the segments then join the gradient buffers in order —
+    /// bitwise the same as one [`Self::backward`] per segment. Returns
+    /// `dL/dz`; [`Self::input_grad`] turns it into `dL/d(input)` for callers
+    /// that need it.
+    pub(crate) fn backward_segments(
+        &mut self,
+        cache: &DenseCache,
+        grad_output: &Matrix,
+        ends: &[usize],
+        max_threads: usize,
+    ) -> Result<Matrix> {
         if grad_output.shape() != cache.output.shape() {
             return Err(NnError::CacheMismatch {
                 reason: format!(
@@ -160,14 +196,13 @@ impl Dense {
             });
         }
         // Undo dropout scaling first (gradient flows only through kept units).
-        let grad_after_dropout = match &cache.dropout_mask {
+        let mut grad_pre = match &cache.dropout_mask {
             Some(mask) => grad_output.hadamard(mask)?,
             None => grad_output.clone(),
         };
         // dL/dz = dL/da * f'(z). When dropout was applied the cached output is
         // post-mask, so recover a = f(z) from the pre-activation instead.
         let act = self.activation;
-        let mut grad_pre = grad_after_dropout;
         match &cache.dropout_mask {
             Some(_) => {
                 for (g, &z) in grad_pre
@@ -190,9 +225,10 @@ impl Dense {
                 }
             }
         }
-        // dL/dW = x^T * dL/dz, dL/db = column sums of dL/dz.
-        let gw = cache.input.matmul_tn(&grad_pre)?;
-        let gb = grad_pre.col_sums();
+        // dL/dW = x^T * dL/dz, dL/db = column sums of dL/dz, per segment.
+        let threads = self.threads(grad_pre.rows(), max_threads);
+        let gw = cache.input.matmul_tn_segments(&grad_pre, ends, threads)?;
+        let gb = grad_pre.col_sums_segments(ends)?;
         match &mut self.grad_weights {
             Some(acc) => acc.add_assign(&gw)?,
             slot @ None => *slot = Some(gw),
@@ -201,8 +237,15 @@ impl Dense {
             Some(acc) => acc.add_assign(&gb)?,
             slot @ None => *slot = Some(gb),
         }
-        // dL/dx = dL/dz * W^T.
-        Ok(grad_pre.matmul_nt(&self.weights)?)
+        Ok(grad_pre)
+    }
+
+    /// `dL/d(input) = dL/dz · Wᵀ` for a `dL/dz` from
+    /// [`Self::backward_segments`], on at most `max_threads` workers. Each
+    /// row is its own product, so segments need no special handling.
+    pub(crate) fn input_grad(&self, grad_pre: &Matrix, max_threads: usize) -> Result<Matrix> {
+        let threads = self.threads(grad_pre.rows(), max_threads);
+        Ok(grad_pre.matmul_nt_with_threads(&self.weights, threads)?)
     }
 
     /// Clears accumulated gradients.
@@ -322,10 +365,9 @@ mod tests {
     #[test]
     fn forward_cached_matches_forward_without_dropout() {
         let l = layer(Activation::Sigmoid);
-        let mut rng = Rng64::seed_from_u64(3);
         let x = Matrix::from_vec(2, 3, vec![0.1, -0.2, 0.3, 1.0, 0.5, -0.5]).unwrap();
         let plain = l.forward(&x).unwrap();
-        let cache = l.forward_cached(&x, None, &mut rng).unwrap();
+        let cache = l.forward_cached(&x, None, usize::MAX).unwrap();
         assert!(cache.output.approx_eq(&plain, 1e-12));
         assert!(cache.dropout_mask.is_none());
     }
@@ -335,7 +377,9 @@ mod tests {
         let l = layer(Activation::Identity);
         let mut rng = Rng64::seed_from_u64(9);
         let x = Matrix::ones(200, 3);
-        let cache = l.forward_cached(&x, Some(0.5), &mut rng).unwrap();
+        let cache = l
+            .forward_cached(&x, Some((0.5, &mut rng)), usize::MAX)
+            .unwrap();
         let mask = cache.dropout_mask.as_ref().unwrap();
         let zeros = mask.as_slice().iter().filter(|&&m| m == 0.0).count();
         let scaled = mask
@@ -352,16 +396,15 @@ mod tests {
         let l = layer(Activation::Identity);
         let mut rng = Rng64::seed_from_u64(9);
         assert!(l
-            .forward_cached(&Matrix::ones(1, 3), Some(1.0), &mut rng)
+            .forward_cached(&Matrix::ones(1, 3), Some((1.0, &mut rng)), usize::MAX)
             .is_err());
     }
 
     #[test]
     fn backward_accumulates_across_calls() {
         let mut l = layer(Activation::Tanh);
-        let mut rng = Rng64::seed_from_u64(5);
         let x = Matrix::from_vec(1, 3, vec![0.2, -0.4, 0.6]).unwrap();
-        let cache = l.forward_cached(&x, None, &mut rng).unwrap();
+        let cache = l.forward_cached(&x, None, usize::MAX).unwrap();
         let g = Matrix::ones(1, 2);
         l.backward(&cache, &g).unwrap();
         let first = l.grad_weights().unwrap().clone();
@@ -375,9 +418,8 @@ mod tests {
     #[test]
     fn backward_rejects_wrong_grad_shape() {
         let mut l = layer(Activation::Relu);
-        let mut rng = Rng64::seed_from_u64(5);
         let cache = l
-            .forward_cached(&Matrix::ones(2, 3), None, &mut rng)
+            .forward_cached(&Matrix::ones(2, 3), None, usize::MAX)
             .unwrap();
         assert!(l.backward(&cache, &Matrix::ones(1, 2)).is_err());
     }
@@ -390,7 +432,7 @@ mod tests {
         for act in [Activation::Identity, Activation::Tanh, Activation::Sigmoid] {
             let mut l = Dense::new(4, 3, act, Init::XavierNormal, &mut rng).unwrap();
             let x = Matrix::from_fn(2, 4, |r, c| 0.3 * (r as f64) - 0.2 * (c as f64) + 0.1);
-            let cache = l.forward_cached(&x, None, &mut rng).unwrap();
+            let cache = l.forward_cached(&x, None, usize::MAX).unwrap();
             let grad_out = Matrix::ones(2, 3);
             let grad_in = l.backward(&cache, &grad_out).unwrap();
             let gw = l.grad_weights().unwrap().clone();
@@ -437,9 +479,8 @@ mod tests {
     #[test]
     fn serde_round_trip_skips_grads() {
         let mut l = layer(Activation::Tanh);
-        let mut rng = Rng64::seed_from_u64(5);
         let cache = l
-            .forward_cached(&Matrix::ones(1, 3), None, &mut rng)
+            .forward_cached(&Matrix::ones(1, 3), None, usize::MAX)
             .unwrap();
         l.backward(&cache, &Matrix::ones(1, 2)).unwrap();
         let json = serde_json::to_string(&l).unwrap();

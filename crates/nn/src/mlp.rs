@@ -174,20 +174,43 @@ impl Mlp {
         Ok(x)
     }
 
+    /// Dropout rate applied to hidden-layer outputs in training (`0.0`: none).
+    pub fn dropout(&self) -> f64 {
+        self.dropout
+    }
+
     /// Training-mode forward pass. Dropout (if configured) applies to every
     /// hidden layer's output but never to the final embedding layer.
+    /// Equivalent to [`Self::forward_cached_with`] with `Some(rng)` and no
+    /// thread cap.
     pub fn forward_cached(&self, input: &Matrix, rng: &mut Rng64) -> Result<MlpCache> {
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let mut x = input.clone();
+        self.forward_cached_with(input, Some(rng), usize::MAX)
+    }
+
+    /// [`Self::forward_cached`] with every product on at most `max_threads`
+    /// workers. `rng` draws the dropout masks; a network with dropout needs
+    /// one, a dropout-free network ignores it. Output rows are independent
+    /// (DESIGN.md §17): forwarding a stack of batches gives each row the
+    /// bits it would get in its own batch.
+    pub fn forward_cached_with(
+        &self,
+        input: &Matrix,
+        mut rng: Option<&mut Rng64>,
+        max_threads: usize,
+    ) -> Result<MlpCache> {
+        let mut caches: Vec<DenseCache> = Vec::with_capacity(self.layers.len());
         let last = self.layers.len().saturating_sub(1);
         for (i, layer) in self.layers.iter().enumerate() {
-            let rate = if i < last && self.dropout > 0.0 {
-                Some(self.dropout)
+            let dropout = if i < last && self.dropout > 0.0 {
+                let rng = rng.as_deref_mut().ok_or_else(|| NnError::InvalidConfig {
+                    reason: format!("dropout {} needs a random generator", self.dropout),
+                })?;
+                Some((self.dropout, rng))
             } else {
                 None
             };
-            let cache = layer.forward_cached(&x, rate, rng)?;
-            x = cache.output.clone();
+            let x = caches.last().map_or(input, |c| &c.output);
+            let cache = layer.forward_cached(x, dropout, max_threads)?;
             caches.push(cache);
         }
         Ok(MlpCache { caches })
@@ -195,8 +218,45 @@ impl Mlp {
 
     /// Backward pass for a cached forward. `grad_output` is `dL/d(output)`.
     /// Accumulates parameter gradients into each layer and returns
-    /// `dL/d(input)`.
+    /// `dL/d(input)`: the one-segment case of [`Self::backward_segments`],
+    /// plus the first layer's input gradient.
     pub fn backward(&mut self, cache: &MlpCache, grad_output: &Matrix) -> Result<Matrix> {
+        let rows = grad_output.rows();
+        match self.backward_to_first(cache, grad_output, &[rows], usize::MAX)? {
+            Some((first, grad_pre)) => first.input_grad(&grad_pre, usize::MAX),
+            None => Ok(grad_output.clone()),
+        }
+    }
+
+    /// Backward pass for a forward over a stack of independent batches:
+    /// `ends` are the ascending exclusive row ends of consecutive segments,
+    /// the last one the row count. Parameter gradients accumulate exactly
+    /// as one [`Self::backward`] per segment would leave them, bit for bit:
+    /// each segment's weight and bias sums start at `+0.0` and fold that
+    /// segment's rows in order, and join the buffers in segment order, never
+    /// merged with another segment's first. Products run on at most
+    /// `max_threads` workers. The network's input gradient is not computed.
+    pub fn backward_segments(
+        &mut self,
+        cache: &MlpCache,
+        grad_output: &Matrix,
+        ends: &[usize],
+        max_threads: usize,
+    ) -> Result<()> {
+        self.backward_to_first(cache, grad_output, ends, max_threads)?;
+        Ok(())
+    }
+
+    /// Runs the segmented backward through every layer and returns the first
+    /// layer with its `dL/dz`, leaving that layer's input gradient undone
+    /// (`None` for a network without layers).
+    fn backward_to_first(
+        &mut self,
+        cache: &MlpCache,
+        grad_output: &Matrix,
+        ends: &[usize],
+        max_threads: usize,
+    ) -> Result<Option<(&Dense, Matrix)>> {
         if cache.caches.len() != self.layers.len() {
             return Err(NnError::CacheMismatch {
                 reason: format!(
@@ -206,11 +266,18 @@ impl Mlp {
                 ),
             });
         }
-        let mut grad = grad_output.clone();
-        for (layer, layer_cache) in self.layers.iter_mut().zip(&cache.caches).rev() {
-            grad = layer.backward(layer_cache, &grad)?;
+        let mut upstream: Option<Matrix> = None;
+        for (idx, (layer, layer_cache)) in
+            self.layers.iter_mut().zip(&cache.caches).enumerate().rev()
+        {
+            let grad = upstream.as_ref().unwrap_or(grad_output);
+            let grad_pre = layer.backward_segments(layer_cache, grad, ends, max_threads)?;
+            if idx == 0 {
+                return Ok(Some((layer, grad_pre)));
+            }
+            upstream = Some(layer.input_grad(&grad_pre, max_threads)?);
         }
-        Ok(grad)
+        Ok(None)
     }
 
     /// Clears all accumulated gradients.

@@ -1,8 +1,10 @@
 //! Register-tiled matmul kernels with a bitwise-determinism contract.
 //!
-//! Every matmul entry point on [`crate::Matrix`] runs the register-blocked
-//! micro-kernels below: they unroll 4–8 output elements wide so the
-//! compiler's vectorizer has independent accumulator lanes to work with.
+//! Every matmul entry point on [`crate::Matrix`] runs one of the two
+//! register-blocked micro-kernels below, `nn` (`a · b`) and `tn` (`aᵀ · b`);
+//! `a · bᵀ` is `nn` on a materialized transpose of `b`. They unroll 4x4
+//! output elements so the compiler's vectorizer has independent accumulator
+//! lanes to work with.
 //!
 //! # The fixed-reduction-tree contract
 //!
@@ -20,7 +22,9 @@
 //! every loaded `a`/`b` value across the tile and keeping the accumulators
 //! out of memory. Thread-count invariance comes for free: row-block
 //! partitioning ([`rll_par::for_each_row_block`]) never changes per-element
-//! arithmetic.
+//! arithmetic. The one exception to "one chain per element" is `tn`'s
+//! segmented form, which keeps one chain per element *per segment* (see
+//! [`matmul_tn`]).
 
 /// True when the running CPU supports AVX; cached by the detection macro.
 /// The tiled kernels then route through [`avx`]'s `target_feature` wrappers,
@@ -50,26 +54,17 @@ mod avx {
     /// # Safety
     /// The caller must have verified AVX support at runtime
     /// ([`super::avx_available`]).
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx")]
     pub(super) unsafe fn tn_tiled(
         a: &[f64],
         b: &[f64],
         block: &mut [f64],
         rows: std::ops::Range<usize>,
+        ends: &[usize],
         m: usize,
-        k: usize,
         n: usize,
     ) {
-        super::tn_tiled_body(a, b, block, rows, m, k, n);
-    }
-
-    /// # Safety
-    /// The caller must have verified AVX support at runtime
-    /// ([`super::avx_available`]).
-    #[target_feature(enable = "avx")]
-    pub(super) unsafe fn nt_tiled(a: &[f64], b: &[f64], out: &mut [f64], k: usize, n: usize) {
-        super::nt_tiled_body(a, b, out, k, n);
+        super::tn_tiled_body(a, b, block, rows, ends, m, n);
     }
 }
 
@@ -77,12 +72,6 @@ mod avx {
 const MR: usize = 4;
 /// Columns per register tile (output columns advanced together).
 const NR: usize = 4;
-/// Rows per register tile for the `nt` (dot-product) kernel; `2 x 4` keeps
-/// eight independent chains live, which is what breaks the add-latency bound
-/// of the single-chain scalar dot.
-const NT_MR: usize = 2;
-/// Columns per register tile for the `nt` kernel.
-const NT_NR: usize = 4;
 
 // ----------------------------------------------------------------------
 // nn: out[i][j] = Σ_p a[i][p] · b[p][j]   (a: m x k, b: k x n)
@@ -206,20 +195,24 @@ fn nn_tiled_body(a: &[f64], b: &[f64], out: &mut [f64], k: usize, n: usize) {
 
 /// `out = aᵀ · b` without materializing the transpose; `a` is `k x m`
 /// accessed column-wise, `out` is `m x n` pre-zeroed.
+///
+/// `ends` splits the `k` reduction steps into consecutive segments (the
+/// last end is `k`; `[k]` is the plain product). Each segment is its own
+/// chain from `+0.0`; the first chain is the element's value and each later
+/// one is added to it in segment order — exactly one product per segment
+/// followed by an in-order `+=` of the results, which is how per-group
+/// weight gradients are summed (DESIGN.md §17).
 pub(crate) fn matmul_tn(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
+    ends: &[usize],
     m: usize,
-    k: usize,
     n: usize,
     threads: usize,
 ) {
-    if k == 0 || n == 0 {
-        return;
-    }
     rll_par::for_each_row_block(out, n, threads, |rows, block| {
-        tn_tiled(a, b, block, rows, m, k, n)
+        tn_tiled(a, b, block, rows, ends, m, n)
     });
 }
 
@@ -228,158 +221,123 @@ fn tn_tiled(
     b: &[f64],
     block: &mut [f64],
     rows: std::ops::Range<usize>,
+    ends: &[usize],
     m: usize,
-    k: usize,
     n: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx_available() {
         // SAFETY: gated on runtime AVX detection; same portable body, AVX
         // codegen.
-        unsafe { avx::tn_tiled(a, b, block, rows, m, k, n) };
+        unsafe { avx::tn_tiled(a, b, block, rows, ends, m, n) };
         return;
     }
-    tn_tiled_body(a, b, block, rows, m, k, n);
+    tn_tiled_body(a, b, block, rows, ends, m, n);
 }
 
+/// Fills `block` (output rows `rows`) strip by strip: `MR` rows at a time,
+/// then one row at a time for the tail.
 #[inline(always)]
 fn tn_tiled_body(
     a: &[f64],
     b: &[f64],
     block: &mut [f64],
     rows: std::ops::Range<usize>,
+    ends: &[usize],
     m: usize,
-    k: usize,
     n: usize,
 ) {
     let mut i = rows.start;
-    while i + MR <= rows.end {
-        let local = i - rows.start;
-        let mut j = 0;
-        while j + NR <= n {
-            let mut acc = [[0.0f64; NR]; MR];
-            for p in 0..k {
-                let arow = &a[p * m + i..p * m + i + MR];
-                let bq = &b[p * n + j..p * n + j + NR];
-                for (acc_row, &avr) in acc.iter_mut().zip(arow) {
-                    for (o, &bv) in acc_row.iter_mut().zip(bq) {
-                        *o += avr * bv;
-                    }
-                }
-            }
-            for (r, acc_row) in acc.iter().enumerate() {
-                block[(local + r) * n + j..(local + r) * n + j + NR].copy_from_slice(acc_row);
-            }
-            j += NR;
-        }
-        for jj in j..n {
-            let mut acc = [0.0f64; MR];
-            for p in 0..k {
-                let bv = b[p * n + jj];
-                let arow = &a[p * m + i..p * m + i + MR];
-                for (accr, &avr) in acc.iter_mut().zip(arow) {
-                    *accr += avr * bv;
-                }
-            }
-            for (r, &accr) in acc.iter().enumerate() {
-                block[(local + r) * n + jj] = accr;
-            }
-        }
-        i += MR;
-    }
-    for ii in i..rows.end {
-        let local = ii - rows.start;
-        let out_row = &mut block[local * n..(local + 1) * n];
-        for p in 0..k {
-            let av = a[p * m + ii];
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
+    while i < rows.end {
+        let at = (i - rows.start) * n;
+        if i + MR <= rows.end {
+            tn_strip::<MR>(a, b, &mut block[at..at + MR * n], ends, m, n, i);
+            i += MR;
+        } else {
+            tn_strip::<1>(a, b, &mut block[at..at + n], ends, m, n, i);
+            i += 1;
         }
     }
 }
 
-// ----------------------------------------------------------------------
-// nt: out[i][j] = Σ_p a[i][p] · b[j][p]   (a: m x k, b: n x k)
-// ----------------------------------------------------------------------
-
-/// `out = a · bᵀ` without materializing the transpose; every output element
-/// is one contiguous dot product.
-pub(crate) fn matmul_nt(a: &[f64], b: &[f64], out: &mut [f64], k: usize, n: usize, threads: usize) {
-    if k == 0 || n == 0 {
-        // Every element is an empty dot product: exactly the zeros already
-        // in `out`.
-        return;
-    }
-    rll_par::for_each_row_block(out, n, threads, |rows, block| {
-        nt_tiled(&a[rows.start * k..rows.end * k], b, block, k, n)
-    });
-}
-
-fn nt_tiled(a: &[f64], b: &[f64], out: &mut [f64], k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if avx_available() {
-        // SAFETY: gated on runtime AVX detection; same portable body, AVX
-        // codegen.
-        unsafe { avx::nt_tiled(a, b, out, k, n) };
-        return;
-    }
-    nt_tiled_body(a, b, out, k, n);
-}
-
+/// The `R` output rows from row `i`: `NR`-wide tiles, then one column at a
+/// time for the tail.
 #[inline(always)]
-fn nt_tiled_body(a: &[f64], b: &[f64], out: &mut [f64], k: usize, n: usize) {
-    let rows = out.len() / n;
-    let mut i = 0;
-    while i + NT_MR <= rows {
-        let a0 = &a[i * k..(i + 1) * k];
-        let a1 = &a[(i + 1) * k..(i + 2) * k];
-        let mut j = 0;
-        while j + NT_NR <= n {
-            let b0 = &b[j * k..(j + 1) * k];
-            let b1 = &b[(j + 1) * k..(j + 2) * k];
-            let b2 = &b[(j + 2) * k..(j + 3) * k];
-            let b3 = &b[(j + 3) * k..(j + 4) * k];
-            let mut acc = [[0.0f64; NT_NR]; NT_MR];
-            for p in 0..k {
-                let x0 = a0[p];
-                let x1 = a1[p];
-                let y = [b0[p], b1[p], b2[p], b3[p]];
-                for (o, &yv) in acc[0].iter_mut().zip(&y) {
-                    *o += x0 * yv;
-                }
-                for (o, &yv) in acc[1].iter_mut().zip(&y) {
-                    *o += x1 * yv;
-                }
-            }
-            out[i * n + j..i * n + j + NT_NR].copy_from_slice(&acc[0]);
-            out[(i + 1) * n + j..(i + 1) * n + j + NT_NR].copy_from_slice(&acc[1]);
-            j += NT_NR;
+fn tn_strip<const R: usize>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    ends: &[usize],
+    m: usize,
+    n: usize,
+    i: usize,
+) {
+    let mut j = 0;
+    while j + NR <= n {
+        let tile = tn_tile::<R, NR>(a, b, ends, m, n, i, j);
+        for (r, tile_row) in tile.iter().enumerate() {
+            out[r * n + j..r * n + j + NR].copy_from_slice(tile_row);
         }
-        for jj in j..n {
-            let b_row = &b[jj * k..(jj + 1) * k];
-            let mut acc0 = 0.0;
-            let mut acc1 = 0.0;
-            for ((&x0, &x1), &y) in a0.iter().zip(a1).zip(b_row) {
-                acc0 += x0 * y;
-                acc1 += x1 * y;
-            }
-            out[i * n + jj] = acc0;
-            out[(i + 1) * n + jj] = acc1;
-        }
-        i += NT_MR;
+        j += NR;
     }
-    for ii in i..rows {
-        let a_row = &a[ii * k..(ii + 1) * k];
-        let out_row = &mut out[ii * n..(ii + 1) * n];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0;
-            for (&x, &y) in a_row.iter().zip(b_row) {
-                acc += x * y;
-            }
-            *o = acc;
+    for jj in j..n {
+        let tile = tn_tile::<R, 1>(a, b, ends, m, n, i, jj);
+        for (r, tile_row) in tile.iter().enumerate() {
+            out[r * n + jj] = tile_row[0];
         }
     }
+}
+
+/// One `R x C` output tile at `(i, j)`: the first segment's chains, plus
+/// each later segment's chains in order.
+#[inline(always)]
+fn tn_tile<const R: usize, const C: usize>(
+    a: &[f64],
+    b: &[f64],
+    ends: &[usize],
+    m: usize,
+    n: usize,
+    i: usize,
+    j: usize,
+) -> [[f64; C]; R] {
+    let Some((&first, rest)) = ends.split_first() else {
+        return [[0.0f64; C]; R];
+    };
+    let mut tile = tn_chains::<R, C>(a, b, 0..first, m, n, i, j);
+    let mut start = first;
+    for &end in rest {
+        let acc = tn_chains::<R, C>(a, b, start..end, m, n, i, j);
+        for r in 0..R {
+            for c in 0..C {
+                tile[r][c] += acc[r][c];
+            }
+        }
+        start = end;
+    }
+    tile
+}
+
+/// `R x C` independent chains from `+0.0` over the steps `ps`, advanced one
+/// `p` step at a time.
+#[inline(always)]
+fn tn_chains<const R: usize, const C: usize>(
+    a: &[f64],
+    b: &[f64],
+    ps: std::ops::Range<usize>,
+    m: usize,
+    n: usize,
+    i: usize,
+    j: usize,
+) -> [[f64; C]; R] {
+    let mut acc = [[0.0f64; C]; R];
+    for p in ps {
+        let arow = &a[p * m + i..p * m + i + R];
+        let bq = &b[p * n + j..p * n + j + C];
+        for (acc_row, &avr) in acc.iter_mut().zip(arow) {
+            for (o, &bv) in acc_row.iter_mut().zip(bq) {
+                *o += avr * bv;
+            }
+        }
+    }
+    acc
 }

@@ -17,17 +17,32 @@ use std::fmt;
 /// backward products sit far above this line.
 const PAR_MIN_WORK: usize = 1 << 18;
 
-/// Effective worker count for an `m·k·n` product. The work estimate uses
+/// Effective worker count for an `m·k·n` product: 1 below a size threshold,
+/// [`rll_par::configured_threads`] above it. The work estimate uses
 /// [`rll_par::saturating_work`] so adversarial shapes saturate instead of
-/// wrapping (a wrapped product would land under [`PAR_MIN_WORK`] and
-/// serialize a huge matmul). Purely a scheduling decision — results are
-/// bitwise identical either way.
-fn par_threads_for(m: usize, k: usize, n: usize) -> usize {
+/// wrapping (a wrapped product would land under the threshold and serialize
+/// a huge matmul). Purely a scheduling decision — results are bitwise
+/// identical either way. The size-picking entry points ([`Matrix::matmul`]
+/// and friends) use it; callers of the `*_with_threads` variants can too.
+pub fn matmul_threads(m: usize, k: usize, n: usize) -> usize {
     rll_par::threads_for_work(
         rll_par::saturating_work(&[m, k, n]),
         PAR_MIN_WORK,
         rll_par::configured_threads(),
     )
+}
+
+/// Checks segment ends for the segmented reductions: at least one, never
+/// decreasing, and the last one covering all `rows`.
+fn check_segment_ends(ends: &[usize], rows: usize) -> Result<()> {
+    let ascending = ends.windows(2).all(|w| w[0] <= w[1]);
+    if ends.last() != Some(&rows) || !ascending {
+        return Err(TensorError::InvalidParameter {
+            name: "segment ends",
+            reason: format!("need ascending ends finishing at {rows} rows, got {ends:?}"),
+        });
+    }
+    Ok(())
 }
 
 /// A dense row-major matrix of `f64` values.
@@ -476,7 +491,7 @@ impl Matrix {
     /// [`rll_par::configured_threads`] workers. See
     /// [`Self::matmul_with_threads`] for the determinism contract.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        self.matmul_with_threads(other, par_threads_for(self.rows, self.cols, other.cols))
+        self.matmul_with_threads(other, matmul_threads(self.rows, self.cols, other.cols))
     }
 
     /// [`Self::matmul`] with an explicit worker-thread count (no size
@@ -522,7 +537,7 @@ impl Matrix {
         self.matmul_bias_with_threads(
             other,
             bias,
-            par_threads_for(self.rows, self.cols, other.cols),
+            matmul_threads(self.rows, self.cols, other.cols),
         )
     }
 
@@ -568,13 +583,29 @@ impl Matrix {
     /// Computes `self^T * other` without materializing the transpose. Large
     /// products are row-blocked like [`Self::matmul`].
     pub fn matmul_tn(&self, other: &Matrix) -> Result<Matrix> {
-        self.matmul_tn_with_threads(other, par_threads_for(self.rows, self.cols, other.cols))
+        self.matmul_tn_with_threads(other, matmul_threads(self.rows, self.cols, other.cols))
     }
 
     /// [`Self::matmul_tn`] with an explicit worker-thread count; bitwise
     /// identical for every count (each output element accumulates over `p`
-    /// in the same ascending order as the serial dense loop).
+    /// in the same ascending order as the serial dense loop). The
+    /// one-segment case of [`Self::matmul_tn_segments`].
     pub fn matmul_tn_with_threads(&self, other: &Matrix, threads: usize) -> Result<Matrix> {
+        self.matmul_tn_segments(other, &[self.rows], threads)
+    }
+
+    /// `self^T * other` summed segment by segment over the shared rows:
+    /// `ends` are the ascending, exclusive ends of consecutive row segments,
+    /// the last one equal to `self.rows()`. Bitwise equal to computing
+    /// `self[seg]^T * other[seg]` for each segment and adding the results
+    /// in segment order (the first one assigned, not added to zeros), for
+    /// every `threads` value.
+    pub fn matmul_tn_segments(
+        &self,
+        other: &Matrix,
+        ends: &[usize],
+        threads: usize,
+    ) -> Result<Matrix> {
         if self.rows != other.rows {
             return Err(TensorError::ShapeMismatch {
                 op: "matmul_tn",
@@ -582,9 +613,18 @@ impl Matrix {
                 rhs: other.shape(),
             });
         }
-        let (k, m, n) = (self.rows, self.cols, other.cols);
+        check_segment_ends(ends, self.rows)?;
+        let (m, n) = (self.cols, other.cols);
         let mut out = vec![0.0; m * n];
-        kernels::matmul_tn(&self.data, &other.data, &mut out, m, k, n, threads.max(1));
+        kernels::matmul_tn(
+            &self.data,
+            &other.data,
+            &mut out,
+            ends,
+            m,
+            n,
+            threads.max(1),
+        );
         Ok(Matrix {
             rows: m,
             cols: n,
@@ -592,15 +632,15 @@ impl Matrix {
         })
     }
 
-    /// Computes `self * other^T` without materializing the transpose. Large
-    /// products are row-blocked like [`Self::matmul`].
+    /// Computes `self * other^T`. Large products are row-blocked like
+    /// [`Self::matmul`].
     pub fn matmul_nt(&self, other: &Matrix) -> Result<Matrix> {
-        self.matmul_nt_with_threads(other, par_threads_for(self.rows, self.cols, other.rows))
+        self.matmul_nt_with_threads(other, matmul_threads(self.rows, self.cols, other.rows))
     }
 
-    /// [`Self::matmul_nt`] with an explicit worker-thread count; bitwise
-    /// identical for every count (each output element is one serial dot
-    /// product owned by a single worker).
+    /// [`Self::matmul_nt`] with an explicit worker-thread count. It is
+    /// [`Self::matmul_with_threads`] on `other`'s transpose: the products
+    /// and their ascending-`p` chains are the same, so are the bits.
     pub fn matmul_nt_with_threads(&self, other: &Matrix, threads: usize) -> Result<Matrix> {
         if self.cols != other.cols {
             return Err(TensorError::ShapeMismatch {
@@ -609,14 +649,7 @@ impl Matrix {
                 rhs: other.shape(),
             });
         }
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = vec![0.0; m * n];
-        kernels::matmul_nt(&self.data, &other.data, &mut out, k, n, threads.max(1));
-        Ok(Matrix {
-            rows: m,
-            cols: n,
-            data: out,
-        })
+        self.matmul_with_threads(&other.transpose(), threads)
     }
 
     /// Returns the transpose.
@@ -658,13 +691,43 @@ impl Matrix {
         self.data.iter().fold(0.0, |m, &x| m.max(x.abs()))
     }
 
-    /// Per-column sums as a `1 x cols` matrix.
+    /// Per-column sums as a `1 x cols` matrix. The one-segment case of
+    /// [`Self::col_sums_segments`].
     pub fn col_sums(&self) -> Matrix {
+        self.col_sums_in(&[self.rows])
+    }
+
+    /// Per-column sums taken segment by segment over the rows (`ends` as in
+    /// [`Self::matmul_tn_segments`]): each segment's sum starts at `+0.0`
+    /// and folds its rows in order; the first segment's sum is the result
+    /// and later ones are added to it in segment order.
+    pub fn col_sums_segments(&self, ends: &[usize]) -> Result<Matrix> {
+        check_segment_ends(ends, self.rows)?;
+        Ok(self.col_sums_in(ends))
+    }
+
+    fn col_sums_in(&self, ends: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] += self.data[r * self.cols + c];
+        if self.cols == 0 {
+            return out;
+        }
+        let mut chain = vec![0.0; self.cols];
+        let mut start = 0;
+        for (s, &end) in ends.iter().enumerate() {
+            // The first segment folds straight into the zeroed output.
+            let acc = if s == 0 { &mut out.data } else { &mut chain };
+            acc.fill(0.0);
+            for row in self.data[start * self.cols..end * self.cols].chunks_exact(self.cols) {
+                for (a, &v) in acc.iter_mut().zip(row) {
+                    *a += v;
+                }
             }
+            if s > 0 {
+                for (o, &c) in out.data.iter_mut().zip(&chain) {
+                    *o += c;
+                }
+            }
+            start = end;
         }
         out
     }

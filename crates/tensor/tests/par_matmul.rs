@@ -370,3 +370,56 @@ fn with_threads_still_validates_shapes() {
         a.matmul_with_threads(&c, 1).unwrap()
     );
 }
+
+proptest! {
+    // A segmented `aᵀ · b` and column sum must equal one product per row
+    // segment added up in segment order, the first one assigned, bit for bit
+    // at every thread count. Segment ends come from the shape so that
+    // one-row and empty segments both occur.
+    #[test]
+    fn segmented_tn_is_bitwise_per_segment_sum((a, b) in ragged_pair(), cut in 1usize..=4) {
+        // at: k x m and b: k x n share the k rows that get segmented.
+        let at = a.transpose();
+        let k = at.rows();
+        let mut ends: Vec<usize> = (1..=k).filter(|e| e % cut == 0).collect();
+        ends.insert(0, 0);
+        ends.push(k);
+        let mut want: Option<(Matrix, Matrix)> = None;
+        let mut start = 0;
+        for &end in &ends {
+            let rows = |m: &Matrix| {
+                let cols = m.cols();
+                Matrix::from_vec(end - start, cols, m.as_slice()[start * cols..end * cols].to_vec())
+                    .unwrap()
+            };
+            let tn = rows(&at).matmul_tn_with_threads(&rows(&b), 1).unwrap();
+            let sums = rows(&at).col_sums();
+            want = Some(match want {
+                None => (tn, sums),
+                Some((mut acc, mut acc_sums)) => {
+                    acc.add_assign(&tn).unwrap();
+                    acc_sums.add_assign(&sums).unwrap();
+                    (acc, acc_sums)
+                }
+            });
+            start = end;
+        }
+        let (want_tn, want_sums) = want.unwrap();
+        for threads in THREAD_COUNTS {
+            let got = at.matmul_tn_segments(&b, &ends, threads).unwrap();
+            prop_assert_eq!(bits(&got), bits(&want_tn), "threads={}", threads);
+        }
+        prop_assert_eq!(bits(&at.col_sums_segments(&ends).unwrap()), bits(&want_sums));
+    }
+}
+
+#[test]
+fn segment_ends_must_ascend_to_the_row_count() {
+    let a = Matrix::ones(4, 2);
+    let b = Matrix::ones(4, 3);
+    for bad in [&[][..], &[3][..], &[5][..], &[3, 2, 4][..]] {
+        assert!(a.matmul_tn_segments(&b, bad, 1).is_err(), "{bad:?}");
+        assert!(a.col_sums_segments(bad).is_err(), "{bad:?}");
+    }
+    assert!(a.matmul_tn_segments(&b, &[0, 2, 2, 4], 1).is_ok());
+}

@@ -146,6 +146,17 @@ cmp "$SMOKE_DIR/det_t1.rllckpt" "$SMOKE_DIR/det_t4.rllckpt" || {
     exit 1
 }
 echo "determinism gate ok (1-thread and 4-thread checkpoints are identical)"
+# The gates above only compare runs of one build with each other, so a change
+# that moves the training math the same way everywhere passes them. This one
+# pins the bytes to a recorded value.
+expected_sha=$(cat results/train_demo_seed42.sha256)
+actual_sha=$(sha256sum "$SMOKE_DIR/det_t1.rllckpt" | cut -d' ' -f1)
+[ "$actual_sha" = "$expected_sha" ] || {
+    echo "byte pin FAILED: train-demo seed-42 checkpoint sha256 is $actual_sha,"
+    echo "results/train_demo_seed42.sha256 records $expected_sha"
+    exit 1
+}
+echo "byte pin ok (train-demo seed-42 checkpoint matches results/train_demo_seed42.sha256)"
 
 echo "== crash-safety gate (kill, resume, byte-compare) =="
 # Fault-injected training must be losslessly resumable: crashtest kills a run

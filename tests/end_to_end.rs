@@ -1,10 +1,11 @@
 //! Cross-crate integration tests: the full RLL story from simulated crowd
 //! data to held-out scores.
 
-use rll::core::{RllConfig, RllPipeline, RllTrainer, RllVariant};
+use rll::core::{RllConfig, RllPipeline, RllTrainer, RllVariant, SamplingStrategy};
 use rll::crowd::aggregate::{Aggregator, MajorityVote};
 use rll::crowd::simulate::{WorkerModel, WorkerPool};
 use rll::data::presets;
+use rll::nn::LrSchedule;
 use rll::tensor::hash::fnv1a_f64s;
 use rll::tensor::Rng64;
 
@@ -85,6 +86,123 @@ fn default_oral_fit_bytes_are_pinned() {
             (0x8c96_7dac_f21b_1a77, 0x9178_307c_6315_3473),
             "fit bytes changed at {threads} threads"
         );
+    }
+}
+
+/// Golden bytes across the trainer's config space, beyond the default fit:
+/// each entry changes one field of a small base config. The hashes were
+/// recorded before the stacked-shard trainer landed and pin that every
+/// group size, variant, depth, ragged shard, clip setting and schedule
+/// trains to the same bits at 1 thread and at 4.
+#[test]
+fn config_matrix_fit_bytes_are_pinned() {
+    let base = RllConfig {
+        epochs: 3,
+        groups_per_epoch: 48,
+        ..RllConfig::default()
+    };
+    let cases: Vec<(&str, RllConfig, (u64, u64))> = vec![
+        (
+            "k=1",
+            RllConfig {
+                k: 1,
+                ..base.clone()
+            },
+            (0x1269_1e44_ab96_f50f, 0x5367_a08a_7c77_cf0e),
+        ),
+        (
+            "k=5",
+            RllConfig {
+                k: 5,
+                ..base.clone()
+            },
+            (0xa96e_3423_6b7d_8b9c, 0x5ced_5b99_0707_d514),
+        ),
+        (
+            "confidence-biased sampling",
+            RllConfig {
+                sampling: SamplingStrategy::ConfidenceBiased { gamma: 2.0 },
+                ..base.clone()
+            },
+            (0x4603_9325_bc89_17b5, 0x5241_e3c2_4197_ea86),
+        ),
+        (
+            "plain",
+            RllConfig {
+                variant: RllVariant::Plain,
+                ..base.clone()
+            },
+            (0x66c2_7c49_e9d6_9f2e, 0xc5e7_d6bb_8ff7_1944),
+        ),
+        (
+            "worker-aware",
+            RllConfig {
+                variant: RllVariant::WorkerAware,
+                ..base.clone()
+            },
+            (0x4e0e_c90e_b831_bc52, 0xc1dd_8877_77ef_a79e),
+        ),
+        (
+            "no hidden layer",
+            RllConfig {
+                hidden_dims: vec![],
+                ..base.clone()
+            },
+            (0x4301_bca4_041b_a992, 0x1c34_cf1a_e899_630e),
+        ),
+        (
+            "one hidden layer",
+            RllConfig {
+                hidden_dims: vec![8],
+                ..base.clone()
+            },
+            (0x34b9_d497_30a5_eb5f, 0xcf24_ed30_4be5_1ab1),
+        ),
+        (
+            "ragged last shard",
+            RllConfig {
+                groups_per_epoch: 100,
+                ..base.clone()
+            },
+            (0xad19_a488_161a_c9a0, 0x101a_0087_0c59_f585),
+        ),
+        (
+            "no clipping",
+            RllConfig {
+                grad_clip: None,
+                ..base.clone()
+            },
+            (0x94b0_88ed_210a_3421, 0x9b03_bff4_9e50_c518),
+        ),
+        (
+            "cosine schedule",
+            RllConfig {
+                lr_schedule: Some(LrSchedule::Cosine {
+                    lr: 3e-3,
+                    min_lr: 1e-4,
+                    total_epochs: 3,
+                }),
+                ..base.clone()
+            },
+            (0xe41c_a8f0_a00c_d90e, 0x8ced_b8cb_db68_61f3),
+        ),
+    ];
+    let ds = presets::oral_scaled(160, 5).unwrap();
+    for (name, config, expected) in cases {
+        for threads in [1, 4] {
+            let trainer = RllTrainer::new(config.clone())
+                .unwrap()
+                .with_threads(threads);
+            let (model, trace) = trainer.fit(&ds.features, &ds.annotations, 7).unwrap();
+            let embed = model.embed(&ds.features).unwrap();
+            let mut trace_values = trace.epoch_losses.clone();
+            trace_values.extend_from_slice(&trace.grad_norms_pre_clip);
+            let got = (fnv1a_f64s(embed.as_slice()), fnv1a_f64s(&trace_values));
+            assert_eq!(
+                got, expected,
+                "{name}: fit bytes changed at {threads} threads"
+            );
+        }
     }
 }
 
