@@ -346,6 +346,32 @@ mod tests {
         assert!(clf.fit(&Matrix::zeros(0, 2), &[], 1).is_err());
     }
 
+    /// No other test covers a fit with dropout > 0, so the bits of the
+    /// dropout branch of the training-mode forward and backward are pinned
+    /// here: an FNV hash of every fitted weight and bias.
+    #[test]
+    fn dropout_fit_bytes_are_pinned() {
+        let (x, y) = blobs(60, 2.0, 5);
+        let mut clf = MlpClassifier::new(MlpClassifierConfig {
+            hidden_dims: vec![16, 8],
+            epochs: 40,
+            dropout: 0.5,
+            ..Default::default()
+        })
+        .unwrap();
+        clf.fit(&x, &y, 11).unwrap();
+        let params: Vec<f64> = clf
+            .network
+            .as_ref()
+            .unwrap()
+            .layers()
+            .iter()
+            .flat_map(|l| l.weights().as_slice().iter().chain(l.bias().as_slice()))
+            .copied()
+            .collect();
+        assert_eq!(rll_tensor::hash::fnv1a_f64s(&params), 0x2d27_1fb3_15df_11fa);
+    }
+
     #[test]
     fn deterministic_per_seed() {
         let (x, y) = blobs(60, 2.0, 5);

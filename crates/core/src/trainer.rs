@@ -1,7 +1,7 @@
 //! The RLL training loop.
 
 use crate::error::RllError;
-use crate::group::{GroupSampler, SamplingStrategy};
+use crate::group::{Group, GroupSampler, SamplingStrategy};
 use crate::loss::group_softmax_loss;
 use crate::model::{RllModel, RllModelConfig};
 use crate::state::{config_hash, CheckpointPolicy, FaultPlan, TrainState};
@@ -347,7 +347,7 @@ impl RllTrainer {
             });
         }
         // RllModel::new always builds the encoder with dropout 0 and the
-        // shard pass draws no dropout masks, so a snapshot carrying any
+        // epoch forward draws no dropout masks, so a snapshot carrying any
         // other rate (or a NaN) was not written by this trainer and would
         // train differently from its config.
         let dropout = state.model.mlp().dropout();
@@ -490,16 +490,29 @@ impl RllTrainer {
                 .counter("train.sampler_fallbacks")
                 .add(batch_stats.fallbacks);
 
-            // Forward/backward over the batch, sharded across worker threads.
-            // Determinism contract (holds for every thread count, including
-            // 1): shard boundaries are fixed by SHARD_GROUPS alone; each
-            // shard accumulates gradients into a thread-local clone in
-            // serial group order; partials are reduced into the model in
-            // shard-index order below. Only scheduling varies with
-            // `self.threads` — never which floats are added in which order.
+            // One forward per epoch, then a backward per shard, sharded
+            // across worker threads. Determinism contract (holds for every
+            // thread count, including 1): shard boundaries are fixed by
+            // SHARD_GROUPS alone; each shard accumulates gradients into a
+            // thread-local clone in serial group order; partials are reduced
+            // into the model in shard-index order below. Only scheduling
+            // varies with `self.threads` — never which floats are added in
+            // which order.
             model.mlp_mut().zero_grad();
             let shards = rll_par::fixed_shards(groups.len(), SHARD_GROUPS);
             let fanout_start = Stopwatch::start();
+            // Every group sees the same weights this epoch and every output
+            // row is its own chain, so each distinct member row is embedded
+            // once and shards gather their rows from this cache by slot
+            // (DESIGN.md §11).
+            let epoch_forward_start = Stopwatch::start();
+            let (items, slots) = distinct_members(&groups, features.rows());
+            let epoch_cache = model.mlp().forward_cached_with(
+                &features.select_rows(&items)?,
+                None,
+                self.threads,
+            )?;
+            let epoch_forward_secs = epoch_forward_start.elapsed_secs();
             let (shard_outputs, shard_secs) = {
                 let mlp = model.mlp();
                 let groups = &groups;
@@ -508,40 +521,46 @@ impl RllTrainer {
                     let shard = &groups[range.clone()];
                     let mut local = mlp.clone();
                     local.zero_grad();
-                    // One forward and one backward over the shard's stacked
-                    // member rows, each group a segment of `ends`. Rows and
-                    // per-group gradient sums keep their per-group bits
-                    // (DESIGN.md §11). Shards are the parallel unit, so
-                    // their products run on this thread.
+                    // The shard's member rows, gathered from the epoch cache,
+                    // and one segmented backward over them, each group a
+                    // segment of `ends`. Rows and per-group gradient sums
+                    // keep their per-group bits (DESIGN.md §11). Shards are
+                    // the parallel unit, so their products run on this
+                    // thread.
                     let forward_start = Stopwatch::start();
-                    let mut members = Vec::with_capacity(shard.len() * (self.config.k + 2));
+                    let first: usize = groups[..range.start].iter().map(Group::len).sum();
                     let mut ends = Vec::with_capacity(shard.len());
+                    let mut rows = 0;
                     for group in shard {
-                        members.extend_from_slice(&group.members());
-                        ends.push(members.len());
+                        rows += group.len();
+                        ends.push(rows);
                     }
-                    let cache =
-                        local.forward_cached_with(&features.select_rows(&members)?, None, 1)?;
+                    let members = &slots[first..first + rows];
+                    let cache = epoch_cache.gather(members)?;
                     let dim = cache.output().cols();
-                    let mut grads = Matrix::zeros(members.len(), dim);
+                    let mut grads = Matrix::zeros(rows, dim);
                     let mut cand_conf = Vec::with_capacity(self.config.k + 1);
                     let mut loss_sum = 0.0;
                     let mut start = 0;
                     for &end in &ends {
-                        let rows = start * dim..end * dim;
+                        let span = start * dim..end * dim;
                         let embeddings = Matrix::from_vec(
                             end - start,
                             dim,
-                            cache.output().as_slice()[rows.clone()].to_vec(),
+                            cache.output().as_slice()[span.clone()].to_vec(),
                         )?;
                         // Candidate confidences: δ_j for the positive, then
                         // the negatives' δ, in member order.
                         cand_conf.clear();
-                        cand_conf.extend(members[start + 1..end].iter().map(|&m| confidences[m]));
+                        cand_conf.extend(
+                            members[start + 1..end]
+                                .iter()
+                                .map(|&slot| confidences[items[slot]]),
+                        );
                         let (loss, group_grads) =
                             group_softmax_loss(&embeddings, &cand_conf, self.config.eta)?;
                         loss_sum += loss;
-                        grads.as_mut_slice()[rows].copy_from_slice(group_grads.as_slice());
+                        grads.as_mut_slice()[span].copy_from_slice(group_grads.as_slice());
                         start = end;
                     }
                     let forward_secs = forward_start.elapsed_secs();
@@ -560,7 +579,7 @@ impl RllTrainer {
             }
             let reduce_start = Stopwatch::start();
             let mut total_loss = 0.0;
-            let mut forward_secs = 0.0;
+            let mut forward_secs = epoch_forward_secs;
             let mut backward_secs = 0.0;
             for (loss_sum, fwd, bwd, shard_mlp) in &shard_outputs {
                 total_loss += loss_sum;
@@ -694,6 +713,26 @@ impl RllTrainer {
     }
 }
 
+/// The distinct items among `groups`' members in first-appearance order,
+/// and each member's slot in that list: groups in order, each group's
+/// members in [`Group::members`] order. Item ids are below `num_items`.
+fn distinct_members(groups: &[Group], num_items: usize) -> (Vec<usize>, Vec<usize>) {
+    let mut slot_of = vec![usize::MAX; num_items];
+    let mut items = Vec::new();
+    let mut slots = Vec::with_capacity(groups.iter().map(Group::len).sum());
+    for group in groups {
+        for item in group.members() {
+            let slot = &mut slot_of[item];
+            if *slot == usize::MAX {
+                *slot = items.len();
+                items.push(item);
+            }
+            slots.push(*slot);
+        }
+    }
+    (items, slots)
+}
+
 /// Global L2 norm over a set of gradient matrices.
 fn global_grad_norm<'a>(grads: impl Iterator<Item = &'a Matrix>) -> f64 {
     grads
@@ -740,6 +779,29 @@ mod tests {
             groups_per_epoch: 64,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn distinct_members_keeps_first_appearance_order_and_slots() {
+        let group = |anchor, positive, negatives: &[usize]| Group {
+            anchor,
+            positive,
+            negatives: negatives.to_vec(),
+        };
+        // Item 4 repeats within the first group; 7, 2 and 4 repeat across
+        // groups; item 0 and items above 7 never appear.
+        let groups = [
+            group(7, 2, &[4, 9, 4]),
+            group(2, 5, &[7, 1, 3]),
+            group(4, 6, &[3, 7, 8]),
+        ];
+        let (items, slots) = distinct_members(&groups, 10);
+        assert_eq!(items, [7, 2, 4, 9, 5, 1, 3, 6, 8]);
+        assert_eq!(slots, [0, 1, 2, 3, 2, 1, 4, 0, 5, 6, 2, 7, 6, 0, 8]);
+        let members: Vec<usize> = groups.iter().flat_map(Group::members).collect();
+        let gathered: Vec<usize> = slots.iter().map(|&s| items[s]).collect();
+        assert_eq!(gathered, members);
+        assert_eq!(distinct_members(&[], 10), (vec![], vec![]));
     }
 
     #[test]

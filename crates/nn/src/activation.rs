@@ -31,15 +31,16 @@ impl Activation {
         }
     }
 
-    /// Derivative with respect to the pre-activation `z`, given both `z` and
-    /// the already-computed activation `a = f(z)` (avoids recomputing
-    /// transcendental functions in the backward pass).
+    /// Derivative with respect to the pre-activation `z`, from the activation
+    /// `a = f(z)` alone, so the backward pass needs neither `z` nor a second
+    /// transcendental call. For ReLU, `z > 0` exactly when `max(z, 0) > 0`,
+    /// with NaN and `±0` included.
     #[inline]
-    pub fn derivative(self, z: f64, a: f64) -> f64 {
+    pub fn derivative(self, a: f64) -> f64 {
         match self {
             Activation::Identity => 1.0,
             Activation::Relu => {
-                if z > 0.0 {
+                if a > 0.0 {
                     1.0
                 } else {
                     0.0
@@ -77,7 +78,7 @@ mod tests {
         for act in ACTS {
             for &z in &[-2.0, -0.5, 0.3, 1.7, 4.0] {
                 let a = act.apply(z);
-                let analytic = act.derivative(z, a);
+                let analytic = act.derivative(a);
                 let numeric = (act.apply(z + eps) - act.apply(z - eps)) / (2.0 * eps);
                 assert!(
                     (analytic - numeric).abs() < 1e-5,
@@ -89,7 +90,29 @@ mod tests {
 
     #[test]
     fn relu_derivative_zero_on_negative_side() {
-        assert_eq!(Activation::Relu.derivative(-1.0, 0.0), 0.0);
+        assert_eq!(Activation::Relu.derivative(0.0), 0.0);
+    }
+
+    #[test]
+    fn relu_derivative_from_output_matches_sign_of_input() {
+        for z in [
+            -1.0,
+            -0.0,
+            0.0,
+            1e-300,
+            2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            let a = Activation::Relu.apply(z);
+            let from_z = if z > 0.0 { 1.0 } else { 0.0 };
+            assert_eq!(
+                Activation::Relu.derivative(a).to_bits(),
+                f64::to_bits(from_z),
+                "z={z}"
+            );
+        }
     }
 
     #[test]

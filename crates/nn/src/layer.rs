@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// `W` has shape `in_dim x out_dim`, `b` is `1 x out_dim`, inputs are
 /// row-major batches `batch x in_dim`. The layer owns its gradient buffers;
-/// [`Dense::backward`] *accumulates* into them so one optimizer step can
+/// its backward pass *accumulates* into them so one optimizer step can
 /// aggregate gradients from several forward passes (the RLL group loss embeds
 /// `k + 2` members through the same network before stepping).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -23,20 +23,6 @@ pub struct Dense {
     grad_weights: Option<Matrix>,
     #[serde(skip)]
     grad_bias: Option<Matrix>,
-}
-
-/// Cached tensors from one [`Dense::forward_cached`] call, needed by backward.
-#[derive(Debug, Clone)]
-pub struct DenseCache {
-    /// Layer input, `batch x in_dim`.
-    pub input: Matrix,
-    /// Pre-activations `z = x W + b`, `batch x out_dim`.
-    pub pre_activation: Matrix,
-    /// Post-activations `a = f(z)`, `batch x out_dim`.
-    pub output: Matrix,
-    /// Dropout keep-mask scaled by `1 / keep_prob` (inverted dropout), or
-    /// `None` when dropout was not applied.
-    pub dropout_mask: Option<Matrix>,
 }
 
 impl Dense {
@@ -116,23 +102,26 @@ impl Dense {
         matmul_threads(rows, self.in_dim(), self.out_dim()).min(max_threads)
     }
 
-    /// Training-mode forward pass; returns output plus the cache backward
-    /// needs. `dropout` is a rate in `[0, 1)` and the generator for the
-    /// inverted-dropout mask on the layer output, or `None` for no dropout.
-    /// Products run on at most `max_threads` workers; every output row is
-    /// its own chain (DESIGN.md §17), so rows never depend on their
-    /// neighbours and a stacked batch gives each row the bits it would get
-    /// alone.
-    pub fn forward_cached(
+    /// Training-mode forward pass: the layer output, and for a layer that
+    /// applied dropout, its keep-mask scaled by `1 / keep_prob` (inverted
+    /// dropout) with the activation `f(z)` before the mask — the output is
+    /// their product. `dropout` is a rate in `[0, 1)` and the generator for
+    /// the mask, or `None` for no dropout. Products run on at most
+    /// `max_threads` workers; every output row is its own chain (DESIGN.md
+    /// §17), so rows never depend on their neighbours and a stacked batch
+    /// gives each row the bits it would get alone.
+    pub(crate) fn forward_cached(
         &self,
         input: &Matrix,
         dropout: Option<(f64, &mut Rng64)>,
         max_threads: usize,
-    ) -> Result<DenseCache> {
+    ) -> Result<(Matrix, Option<(Matrix, Matrix)>)> {
         let threads = self.threads(input.rows(), max_threads);
-        let pre = input.matmul_bias_with_threads(&self.weights, &self.bias, threads)?;
-        let mut output = pre.map(|v| self.activation.apply(v));
-        let dropout_mask = match dropout {
+        let mut activation = input.matmul_bias_with_threads(&self.weights, &self.bias, threads)?;
+        for v in activation.as_mut_slice() {
+            *v = self.activation.apply(*v);
+        }
+        match dropout {
             Some((rate, rng)) if rate > 0.0 => {
                 if rate >= 1.0 {
                     return Err(NnError::InvalidConfig {
@@ -140,94 +129,71 @@ impl Dense {
                     });
                 }
                 let keep = 1.0 - rate;
-                let mask = Matrix::from_fn(output.rows(), output.cols(), |_, _| {
+                let mask = Matrix::from_fn(activation.rows(), activation.cols(), |_, _| {
                     if rng.bernoulli(keep) {
                         1.0 / keep
                     } else {
                         0.0
                     }
                 });
-                output = output.hadamard(&mask)?;
-                Some(mask)
+                let output = activation.hadamard(&mask)?;
+                Ok((output, Some((mask, activation))))
             }
-            _ => None,
-        };
-        Ok(DenseCache {
-            input: input.clone(),
-            pre_activation: pre,
-            output,
-            dropout_mask,
-        })
+            _ => Ok((activation, None)),
+        }
     }
 
-    /// Backward pass. `grad_output` is `dL/d(output)` with the same shape as
-    /// the cached output. Accumulates `dL/dW` and `dL/db` into the layer's
-    /// gradient buffers and returns `dL/d(input)`. It is the segmented
-    /// backward behind [`crate::Mlp::backward_segments`] with one segment,
-    /// plus the input gradient.
-    pub fn backward(&mut self, cache: &DenseCache, grad_output: &Matrix) -> Result<Matrix> {
-        let rows = grad_output.rows();
-        let grad_pre = self.backward_segments(cache, grad_output, &[rows], usize::MAX)?;
-        self.input_grad(&grad_pre, usize::MAX)
-    }
-
-    /// Backward pass over a stack of independent batches: `ends` are the
-    /// ascending exclusive row ends of consecutive segments, the last one
-    /// the row count. Each segment's `dL/dW = xᵀ·dL/dz` and
-    /// `dL/db = Σ dL/dz` starts from `+0.0` and folds that segment's rows
-    /// in order, and the segments then join the gradient buffers in order —
-    /// bitwise the same as one [`Self::backward`] per segment. Returns
-    /// `dL/dz`; [`Self::input_grad`] turns it into `dL/d(input)` for callers
-    /// that need it.
+    /// Backward pass over a stack of independent batches. `input` and
+    /// `output` are this layer's input and output in the cached pass and
+    /// `dropout` its mask and pre-mask activation, as
+    /// [`Self::forward_cached`] returned them; `grad_output` is
+    /// `dL/d(output)`. `ends` are the ascending exclusive row ends of
+    /// consecutive segments, the last one the row count. Each segment's
+    /// `dL/dW = xᵀ·dL/dz` and `dL/db = Σ dL/dz` starts from `+0.0` and folds
+    /// that segment's rows in order, and the segments then join the gradient
+    /// buffers in order — bitwise the same as one backward per segment.
+    /// Returns `dL/dz`; [`Self::input_grad`] turns it into `dL/d(input)` for
+    /// callers that need it.
     pub(crate) fn backward_segments(
         &mut self,
-        cache: &DenseCache,
+        input: &Matrix,
+        output: &Matrix,
+        dropout: Option<&(Matrix, Matrix)>,
         grad_output: &Matrix,
         ends: &[usize],
         max_threads: usize,
     ) -> Result<Matrix> {
-        if grad_output.shape() != cache.output.shape() {
+        if grad_output.shape() != output.shape() {
             return Err(NnError::CacheMismatch {
                 reason: format!(
                     "grad_output shape {:?} does not match cached output {:?}",
                     grad_output.shape(),
-                    cache.output.shape()
+                    output.shape()
                 ),
             });
         }
-        // Undo dropout scaling first (gradient flows only through kept units).
-        let mut grad_pre = match &cache.dropout_mask {
-            Some(mask) => grad_output.hadamard(mask)?,
-            None => grad_output.clone(),
-        };
-        // dL/dz = dL/da * f'(z). When dropout was applied the cached output is
-        // post-mask, so recover a = f(z) from the pre-activation instead.
+        // dL/dz = dL/da · f'(z), with f' taken from the activation a = f(z)
+        // and dL/da first masked by dropout (gradient flows only through kept
+        // units), written once into one new buffer.
         let act = self.activation;
-        match &cache.dropout_mask {
-            Some(_) => {
-                for (g, &z) in grad_pre
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(cache.pre_activation.as_slice())
-                {
-                    let a = act.apply(z);
-                    *g *= act.derivative(z, a);
-                }
-            }
-            None => {
-                for ((g, &z), &a) in grad_pre
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(cache.pre_activation.as_slice())
-                    .zip(cache.output.as_slice())
-                {
-                    *g *= act.derivative(z, a);
-                }
-            }
-        }
+        let grad = grad_output.as_slice();
+        let grad_pre: Vec<f64> = match dropout {
+            Some((mask, activation)) => grad
+                .iter()
+                .zip(mask.as_slice())
+                .zip(activation.as_slice())
+                .map(|((&g, &m), &a)| g * m * act.derivative(a))
+                .collect(),
+            None => grad
+                .iter()
+                .zip(output.as_slice())
+                .map(|(&g, &a)| g * act.derivative(a))
+                .collect(),
+        };
+        let grad_pre = Matrix::from_vec(output.rows(), output.cols(), grad_pre)?;
         // dL/dW = x^T * dL/dz, dL/db = column sums of dL/dz, per segment.
         let threads = self.threads(grad_pre.rows(), max_threads);
-        let gw = cache.input.matmul_tn_segments(&grad_pre, ends, threads)?;
+        let gw = input.matmul_tn_segments(&grad_pre, ends, threads)?;
         let gb = grad_pre.col_sums_segments(ends)?;
         match &mut self.grad_weights {
             Some(acc) => acc.add_assign(&gw)?,
@@ -335,6 +301,17 @@ mod tests {
         Dense::new(3, 2, act, Init::XavierNormal, &mut rng).unwrap()
     }
 
+    /// A dropout-free forward's output, then its one-segment backward with
+    /// the input gradient.
+    fn forward_output(l: &Dense, x: &Matrix) -> Matrix {
+        l.forward_cached(x, None, usize::MAX).unwrap().0
+    }
+
+    fn backward(l: &mut Dense, x: &Matrix, output: &Matrix, grad: &Matrix) -> Result<Matrix> {
+        let grad_pre = l.backward_segments(x, output, None, grad, &[grad.rows()], usize::MAX)?;
+        l.input_grad(&grad_pre, usize::MAX)
+    }
+
     #[test]
     fn rejects_zero_dims() {
         let mut rng = Rng64::seed_from_u64(1);
@@ -367,9 +344,9 @@ mod tests {
         let l = layer(Activation::Sigmoid);
         let x = Matrix::from_vec(2, 3, vec![0.1, -0.2, 0.3, 1.0, 0.5, -0.5]).unwrap();
         let plain = l.forward(&x).unwrap();
-        let cache = l.forward_cached(&x, None, usize::MAX).unwrap();
-        assert!(cache.output.approx_eq(&plain, 1e-12));
-        assert!(cache.dropout_mask.is_none());
+        let (output, dropout) = l.forward_cached(&x, None, usize::MAX).unwrap();
+        assert!(output.approx_eq(&plain, 1e-12));
+        assert!(dropout.is_none());
     }
 
     #[test]
@@ -377,10 +354,11 @@ mod tests {
         let l = layer(Activation::Identity);
         let mut rng = Rng64::seed_from_u64(9);
         let x = Matrix::ones(200, 3);
-        let cache = l
+        let (output, dropout) = l
             .forward_cached(&x, Some((0.5, &mut rng)), usize::MAX)
             .unwrap();
-        let mask = cache.dropout_mask.as_ref().unwrap();
+        let (mask, activation) = dropout.unwrap();
+        assert_eq!(output, activation.hadamard(&mask).unwrap());
         let zeros = mask.as_slice().iter().filter(|&&m| m == 0.0).count();
         let scaled = mask
             .as_slice()
@@ -404,11 +382,11 @@ mod tests {
     fn backward_accumulates_across_calls() {
         let mut l = layer(Activation::Tanh);
         let x = Matrix::from_vec(1, 3, vec![0.2, -0.4, 0.6]).unwrap();
-        let cache = l.forward_cached(&x, None, usize::MAX).unwrap();
+        let output = forward_output(&l, &x);
         let g = Matrix::ones(1, 2);
-        l.backward(&cache, &g).unwrap();
+        backward(&mut l, &x, &output, &g).unwrap();
         let first = l.grad_weights().unwrap().clone();
-        l.backward(&cache, &g).unwrap();
+        backward(&mut l, &x, &output, &g).unwrap();
         let second = l.grad_weights().unwrap();
         assert!(second.approx_eq(&first.scale(2.0), 1e-12));
         l.zero_grad();
@@ -418,10 +396,9 @@ mod tests {
     #[test]
     fn backward_rejects_wrong_grad_shape() {
         let mut l = layer(Activation::Relu);
-        let cache = l
-            .forward_cached(&Matrix::ones(2, 3), None, usize::MAX)
-            .unwrap();
-        assert!(l.backward(&cache, &Matrix::ones(1, 2)).is_err());
+        let x = Matrix::ones(2, 3);
+        let output = forward_output(&l, &x);
+        assert!(backward(&mut l, &x, &output, &Matrix::ones(1, 2)).is_err());
     }
 
     #[test]
@@ -432,9 +409,9 @@ mod tests {
         for act in [Activation::Identity, Activation::Tanh, Activation::Sigmoid] {
             let mut l = Dense::new(4, 3, act, Init::XavierNormal, &mut rng).unwrap();
             let x = Matrix::from_fn(2, 4, |r, c| 0.3 * (r as f64) - 0.2 * (c as f64) + 0.1);
-            let cache = l.forward_cached(&x, None, usize::MAX).unwrap();
+            let output = forward_output(&l, &x);
             let grad_out = Matrix::ones(2, 3);
-            let grad_in = l.backward(&cache, &grad_out).unwrap();
+            let grad_in = backward(&mut l, &x, &output, &grad_out).unwrap();
             let gw = l.grad_weights().unwrap().clone();
 
             let eps = 1e-6;
@@ -479,10 +456,9 @@ mod tests {
     #[test]
     fn serde_round_trip_skips_grads() {
         let mut l = layer(Activation::Tanh);
-        let cache = l
-            .forward_cached(&Matrix::ones(1, 3), None, usize::MAX)
-            .unwrap();
-        l.backward(&cache, &Matrix::ones(1, 2)).unwrap();
+        let x = Matrix::ones(1, 3);
+        let output = forward_output(&l, &x);
+        backward(&mut l, &x, &output, &Matrix::ones(1, 2)).unwrap();
         let json = serde_json::to_string(&l).unwrap();
         let back: Dense = serde_json::from_str(&json).unwrap();
         // serde_json's default float parsing may be 1 ulp off; allow that.

@@ -10,7 +10,14 @@
 //! - [`Dense`] layers with configurable [`Activation`] and optional dropout,
 //!   composed into an [`Mlp`];
 //! - manual reverse-mode differentiation: [`Mlp::forward_cached`] +
-//!   [`Mlp::backward`] accumulate parameter gradients;
+//!   [`Mlp::backward`] accumulate parameter gradients. The forward leaves a
+//!   lean [`MlpCache`]: the network input once and each layer's output, which
+//!   is also the next layer's input, with `f'` taken from that output, so no
+//!   pre-activation or input copy is kept. [`MlpCache::gather`] picks rows
+//!   of a cached pass, and [`Mlp::backward_segments`] runs one backward over
+//!   a stack of independent batches; the trainer embeds each distinct
+//!   member row once per epoch and gathers every shard's rows from that
+//!   cache;
 //! - [`loss`] — MSE, contrastive (SiameseNet), and triplet-margin (TripletNet)
 //!   losses, each returning the loss value and the gradient with respect to
 //!   its inputs;

@@ -2,7 +2,7 @@
 
 use crate::activation::Activation;
 use crate::error::NnError;
-use crate::layer::{Dense, DenseCache};
+use crate::layer::Dense;
 use crate::Result;
 use rll_tensor::{init::Init, Matrix, Rng64};
 use serde::{Deserialize, Serialize};
@@ -66,23 +66,54 @@ pub struct Mlp {
     dropout: f64,
 }
 
-/// Per-layer caches from one training-mode forward pass.
+/// What one training-mode forward pass leaves for the backward: the network
+/// input once and each layer's output. Layer `i + 1`'s input is layer `i`'s
+/// output, not a copy, and each layer's `f'` comes from its output (see
+/// [`Activation::derivative`]), so no pre-activation is kept. A layer that
+/// applied dropout also keeps its scaled keep-mask and its activation before
+/// the mask.
 #[derive(Debug, Clone)]
 pub struct MlpCache {
-    caches: Vec<DenseCache>,
+    /// Network input, `rows x input_dim`.
+    input: Matrix,
+    /// Each layer's output, after dropout, `rows x out_dim`.
+    outputs: Vec<Matrix>,
+    /// Per layer: `(keep-mask, activation before the mask)` when the layer
+    /// applied dropout.
+    dropouts: Vec<Option<(Matrix, Matrix)>>,
 }
 
 impl MlpCache {
     /// The network output for the cached pass.
     pub fn output(&self) -> &Matrix {
-        &self
-            .caches
+        self.outputs
             .last()
             // lint: allow(no-panic-lib) — structural invariant: MlpCache is only
-            // built by forward_cached, which pushes one cache per layer, and
-            // Mlp::new rejects empty layer stacks.
-            .expect("MlpCache always holds at least one layer cache")
-            .output
+            // built by forward_cached_with, which pushes one output per layer,
+            // and Mlp::new rejects empty layer stacks.
+            .expect("MlpCache always holds at least one layer output")
+    }
+
+    /// The cache of the given rows of this pass, in the given order (rows may
+    /// repeat). Every output row is its own chain (DESIGN.md §17), so for a
+    /// dropout-free network this is bit for bit the cache of a forward over
+    /// the gathered input rows, without recomputing them. Fails on an
+    /// out-of-range row.
+    pub fn gather(&self, rows: &[usize]) -> Result<MlpCache> {
+        let select = |m: &Matrix| -> Result<Matrix> { Ok(m.select_rows(rows)?) };
+        Ok(MlpCache {
+            input: select(&self.input)?,
+            outputs: self.outputs.iter().map(select).collect::<Result<_>>()?,
+            dropouts: self
+                .dropouts
+                .iter()
+                .map(|d| {
+                    d.as_ref()
+                        .map(|(mask, activation)| Ok((select(mask)?, select(activation)?)))
+                        .transpose()
+                })
+                .collect::<Result<_>>()?,
+        })
     }
 }
 
@@ -198,7 +229,8 @@ impl Mlp {
         mut rng: Option<&mut Rng64>,
         max_threads: usize,
     ) -> Result<MlpCache> {
-        let mut caches: Vec<DenseCache> = Vec::with_capacity(self.layers.len());
+        let mut outputs: Vec<Matrix> = Vec::with_capacity(self.layers.len());
+        let mut dropouts = Vec::with_capacity(self.layers.len());
         let last = self.layers.len().saturating_sub(1);
         for (i, layer) in self.layers.iter().enumerate() {
             let dropout = if i < last && self.dropout > 0.0 {
@@ -209,11 +241,16 @@ impl Mlp {
             } else {
                 None
             };
-            let x = caches.last().map_or(input, |c| &c.output);
-            let cache = layer.forward_cached(x, dropout, max_threads)?;
-            caches.push(cache);
+            let x = outputs.last().unwrap_or(input);
+            let (output, dropped) = layer.forward_cached(x, dropout, max_threads)?;
+            outputs.push(output);
+            dropouts.push(dropped);
         }
-        Ok(MlpCache { caches })
+        Ok(MlpCache {
+            input: input.clone(),
+            outputs,
+            dropouts,
+        })
     }
 
     /// Backward pass for a cached forward. `grad_output` is `dL/d(output)`.
@@ -257,21 +294,37 @@ impl Mlp {
         ends: &[usize],
         max_threads: usize,
     ) -> Result<Option<(&Dense, Matrix)>> {
-        if cache.caches.len() != self.layers.len() {
+        if cache.outputs.len() != self.layers.len() {
             return Err(NnError::CacheMismatch {
                 reason: format!(
                     "cache has {} layer entries, network has {}",
-                    cache.caches.len(),
+                    cache.outputs.len(),
                     self.layers.len()
                 ),
             });
         }
         let mut upstream: Option<Matrix> = None;
-        for (idx, (layer, layer_cache)) in
-            self.layers.iter_mut().zip(&cache.caches).enumerate().rev()
+        for (idx, ((layer, output), dropout)) in self
+            .layers
+            .iter_mut()
+            .zip(&cache.outputs)
+            .zip(&cache.dropouts)
+            .enumerate()
+            .rev()
         {
+            let input = match idx {
+                0 => &cache.input,
+                _ => &cache.outputs[idx - 1],
+            };
             let grad = upstream.as_ref().unwrap_or(grad_output);
-            let grad_pre = layer.backward_segments(layer_cache, grad, ends, max_threads)?;
+            let grad_pre = layer.backward_segments(
+                input,
+                output,
+                dropout.as_ref(),
+                grad,
+                ends,
+                max_threads,
+            )?;
             if idx == 0 {
                 return Ok(Some((layer, grad_pre)));
             }
@@ -573,8 +626,40 @@ mod tests {
         };
         let mlp = Mlp::new(&cfg, &mut rng).unwrap();
         let cache = mlp.forward_cached(&Matrix::ones(10, 4), &mut rng).unwrap();
-        assert!(cache.caches[0].dropout_mask.is_some());
-        assert!(cache.caches[1].dropout_mask.is_none());
+        assert!(cache.dropouts[0].is_some());
+        assert!(cache.dropouts[1].is_none());
+    }
+
+    /// Pins the bits of one training-mode forward and backward with
+    /// dropout: an FNV hash over the output, the input gradient and every
+    /// parameter gradient.
+    #[test]
+    fn dropout_gradient_bytes_are_pinned() {
+        let mut rng = Rng64::seed_from_u64(12);
+        let mut mlp = Mlp::new(
+            &MlpConfig {
+                input_dim: 6,
+                hidden_dims: vec![7, 5],
+                output_dim: 3,
+                hidden_activation: Activation::Tanh,
+                output_activation: Activation::Sigmoid,
+                dropout: 0.5,
+                init: Init::XavierNormal,
+            },
+            &mut rng,
+        )
+        .unwrap();
+        let x = Matrix::from_fn(9, 6, |_, _| rng.standard_normal());
+        let grad = Matrix::from_fn(9, 3, |_, _| rng.standard_normal());
+        let cache = mlp.forward_cached(&x, &mut rng).unwrap();
+        let grad_in = mlp.backward(&cache, &grad).unwrap();
+        let mut values = cache.output().as_slice().to_vec();
+        values.extend_from_slice(grad_in.as_slice());
+        for layer in mlp.layers() {
+            values.extend_from_slice(layer.grad_weights().unwrap().as_slice());
+            values.extend_from_slice(layer.grad_bias().unwrap().as_slice());
+        }
+        assert_eq!(rll_tensor::hash::fnv1a_f64s(&values), 0x4a90_1094_3ae0_fbff);
     }
 
     #[test]

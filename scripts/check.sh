@@ -32,6 +32,12 @@ cargo build --workspace --all-targets
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== cargo test --release (tensor, nn, core) =="
+# The benchmark, `serve` and the checkpoint gates below all run release code,
+# while the golden-hash tests above run in debug. Run the numeric crates'
+# tests in release too, so an optimisation-only difference cannot hide.
+cargo test --release -q -p rll-tensor -p rll-nn -p rll-core
+
 echo "== benchmark package (build + test against the workspace crates) =="
 # benchmark/ is a standalone package with path deps on crates/*, so nothing
 # above compiles it: deleting an API it imports would otherwise surface only
