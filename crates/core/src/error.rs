@@ -1,5 +1,6 @@
 //! Typed errors for the RLL framework.
 
+use crate::snapshot::SnapshotError;
 use rll_baselines::BaselineError;
 use rll_crowd::CrowdError;
 use rll_nn::NnError;
@@ -38,27 +39,10 @@ pub enum RllError {
         /// The underlying I/O error, rendered.
         message: String,
     },
-    /// A `.rllstate` snapshot was written by an unsupported format version.
-    StateVersionMismatch {
-        /// Version found in the snapshot header.
-        found: u32,
-        /// The only version this build reads.
-        supported: u32,
-    },
-    /// A `.rllstate` payload does not match its header checksum (covers
-    /// truncation as well as bit corruption).
-    StateChecksumMismatch {
-        /// Checksum the header promised.
-        expected: u64,
-        /// Checksum of the bytes actually on disk.
-        actual: u64,
-    },
-    /// A `.rllstate` snapshot is structurally unreadable (bad magic, not
-    /// JSON, missing separator, …).
-    MalformedState {
-        /// Human-readable description.
-        reason: String,
-    },
+    /// A `.rllstate` snapshot failed the sealed-file checks (malformed,
+    /// unsupported version, or a checksum mismatch that covers truncation)
+    /// or its header disagrees with its payload.
+    Snapshot(SnapshotError),
     /// A `.rllstate` snapshot is internally valid but does not belong to
     /// this trainer — different config, seed stream, or data dimensions.
     ResumeMismatch {
@@ -95,18 +79,7 @@ impl fmt::Display for RllError {
             RllError::DegenerateData { reason } => write!(f, "degenerate data: {reason}"),
             RllError::NotFitted => write!(f, "model must be fitted before inference"),
             RllError::Io { context, message } => write!(f, "io error ({context}): {message}"),
-            RllError::StateVersionMismatch { found, supported } => write!(
-                f,
-                "training-state version {found} is not supported (this build reads {supported})"
-            ),
-            RllError::StateChecksumMismatch { expected, actual } => write!(
-                f,
-                "training-state checksum mismatch: header promises {expected:#018x}, \
-                 payload hashes to {actual:#018x}"
-            ),
-            RllError::MalformedState { reason } => {
-                write!(f, "malformed training state: {reason}")
-            }
+            RllError::Snapshot(e) => write!(f, "training state {e}"),
             RllError::ResumeMismatch { reason } => {
                 write!(f, "training state does not match this trainer: {reason}")
             }
@@ -125,6 +98,7 @@ impl std::error::Error for RllError {
             RllError::Nn(e) => Some(e),
             RllError::Crowd(e) => Some(e),
             RllError::Baseline(e) => Some(e),
+            RllError::Snapshot(e) => Some(e),
             _ => None,
         }
     }
@@ -145,6 +119,12 @@ impl From<NnError> for RllError {
 impl From<CrowdError> for RllError {
     fn from(e: CrowdError) -> Self {
         RllError::Crowd(e)
+    }
+}
+
+impl From<SnapshotError> for RllError {
+    fn from(e: SnapshotError) -> Self {
+        RllError::Snapshot(e)
     }
 }
 

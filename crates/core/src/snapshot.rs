@@ -1,73 +1,165 @@
-//! Shared machinery for checksummed, atomically-written snapshot files.
+//! The one codec for every sealed file in the workspace: `.rllckpt`
+//! checkpoints (`rll-serve`), `.rllstate` training state ([`crate::state`]),
+//! and the `confidence.rllsnap` snapshot and `.rllwal` segments of
+//! `rll-label`. All four are `<header JSON, one line>\n<payload>`.
 //!
-//! Both snapshot formats in this workspace — the train→serve handoff
-//! checkpoint (`RLLCKPT`, in `rll-serve`) and the crash-safe training state
-//! (`RLLSTATE`, in [`crate::state`]) — share one envelope layout:
+//! Each format keeps its own header struct, so its JSON field order never
+//! moves, and implements [`SealedHeader`]. [`seal`]/[`seal_bytes`] stamp the
+//! payload's length and FNV-1a checksum into the header. [`open`] checks in
+//! one fixed order and stops at the first typed [`SnapshotError`]:
 //!
-//! ```text
-//! <header JSON, one line>\n
-//! <payload JSON>
-//! ```
+//! 1. split at the first newline, header UTF-8 → `Malformed`;
+//! 2. header JSON, then magic → `Malformed`; version → `Version`;
+//! 3. payload length (if recorded) and checksum → `Checksum` (truncation);
+//! 4. payload UTF-8 JSON, parsed from the input slice → `Malformed`.
 //!
-//! where the header carries the byte length and FNV-1a checksum of the
-//! payload that follows. This module owns the format-agnostic pieces: the
-//! envelope encoder/splitter and the crash-safe [`atomic_write`] that every
-//! snapshot goes through. Magic strings, versions, and field validation stay
-//! with each format's own module.
+//! [`open_header`] is steps 1–2 and [`verify_payload`] step 3, for the WAL:
+//! an open segment has no checksum, and a sealed one is checked after its
+//! record lines. [`atomic_write`] is the crash-safe writer for all four.
 
+use rll_tensor::hash::fnv1a;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-/// Why [`split_envelope`] could not take an envelope apart. Structural only:
-/// checksum/version/semantic validation belongs to the format that owns the
-/// header fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnvelopeError {
-    /// No newline separating header from payload.
-    MissingSeparator,
-    /// The header bytes before the separator are not UTF-8.
-    HeaderNotUtf8,
+/// Why a sealed file could not be opened.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SnapshotError {
+    /// Structurally unreadable: no separator, header or payload not UTF-8
+    /// or not the expected JSON, or a foreign magic string.
+    Malformed {
+        /// Human-readable description.
+        reason: String,
+    },
+    /// Written by a format version this build does not read.
+    Version {
+        /// Version found in the header.
+        found: u32,
+        /// The only version this build reads and writes.
+        supported: u32,
+    },
+    /// The payload's length or FNV-1a checksum disagrees with the header:
+    /// the file is corrupted or truncated.
+    Checksum {
+        /// Checksum recorded in the header.
+        expected: u64,
+        /// Checksum of the bytes actually present.
+        actual: u64,
+    },
 }
 
-impl fmt::Display for EnvelopeError {
+impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EnvelopeError::MissingSeparator => {
-                write!(f, "no header/payload separator (expected a newline)")
-            }
-            EnvelopeError::HeaderNotUtf8 => write!(f, "header is not UTF-8"),
+            SnapshotError::Malformed { reason } => write!(f, "malformed: {reason}"),
+            SnapshotError::Version { found, supported } => write!(
+                f,
+                "format version {found} is not supported (this build reads v{supported})"
+            ),
+            SnapshotError::Checksum { expected, actual } => write!(
+                f,
+                "checksum mismatch: header says {expected:#018x}, payload hashes to \
+                 {actual:#018x} (file corrupted or truncated)"
+            ),
         }
     }
 }
 
-impl std::error::Error for EnvelopeError {}
+impl std::error::Error for SnapshotError {}
 
-/// Joins a one-line JSON header and a JSON payload into the on-disk envelope.
-pub fn encode_envelope(header_json: &str, payload_json: &str) -> Vec<u8> {
-    debug_assert!(
-        !header_json.contains('\n'),
-        "envelope headers must be single-line JSON"
-    );
-    let mut bytes = Vec::with_capacity(header_json.len() + 1 + payload_json.len());
-    bytes.extend_from_slice(header_json.as_bytes());
-    bytes.push(b'\n');
-    bytes.extend_from_slice(payload_json.as_bytes());
-    bytes
+fn malformed(reason: impl Into<String>) -> SnapshotError {
+    SnapshotError::Malformed {
+        reason: reason.into(),
+    }
 }
 
-/// Splits an envelope into `(header_str, payload_bytes)` at the first
-/// newline. The payload stays raw bytes so the caller can checksum exactly
-/// what was on disk before trusting it as UTF-8.
-pub fn split_envelope(bytes: &[u8]) -> std::result::Result<(&str, &[u8]), EnvelopeError> {
+/// The header line of one sealed-file format.
+pub trait SealedHeader: Serialize + Deserialize {
+    /// Magic string every header of this format carries.
+    const MAGIC: &'static str;
+    /// The format version this build writes and the only one it reads.
+    const VERSION: u32;
+    /// The magic string and format version this header carries.
+    fn id(&self) -> (&str, u32);
+    /// The payload byte length (`None` for a format that records none) and
+    /// FNV-1a checksum this header promises.
+    fn promised(&self) -> (Option<u64>, u64);
+    /// Records the payload's byte length and checksum before sealing.
+    fn stamp(&mut self, len: u64, fnv1a: u64);
+}
+
+/// Seals a serializable payload: its compact JSON becomes the payload bytes.
+pub fn seal<H: SealedHeader, P: Serialize + ?Sized>(
+    header: H,
+    payload: &P,
+) -> Result<Vec<u8>, SnapshotError> {
+    let json = serde_json::to_string(payload)
+        .map_err(|e| malformed(format!("cannot serialize {} payload: {e}", H::MAGIC)))?;
+    seal_bytes(header, json.as_bytes())
+}
+
+/// Seals raw payload bytes: stamps their length and checksum into `header`
+/// and joins header line and payload.
+pub fn seal_bytes<H: SealedHeader>(
+    mut header: H,
+    payload: &[u8],
+) -> Result<Vec<u8>, SnapshotError> {
+    header.stamp(payload.len() as u64, fnv1a(payload));
+    let header_json = serde_json::to_string(&header)
+        .map_err(|e| malformed(format!("cannot serialize {} header: {e}", H::MAGIC)))?;
+    Ok([header_json.as_bytes(), b"\n", payload].concat())
+}
+
+/// Steps 1–2 of [`open`]: splits the envelope, parses the header, and checks
+/// magic and version. Returns the header and the raw, unverified payload.
+pub fn open_header<H: SealedHeader>(bytes: &[u8]) -> Result<(H, &[u8]), SnapshotError> {
     let newline = bytes
         .iter()
         .position(|&b| b == b'\n')
-        .ok_or(EnvelopeError::MissingSeparator)?;
-    let header =
-        std::str::from_utf8(&bytes[..newline]).map_err(|_| EnvelopeError::HeaderNotUtf8)?;
+        .ok_or_else(|| malformed("no header/payload separator (expected a newline)"))?;
+    let header_str =
+        std::str::from_utf8(&bytes[..newline]).map_err(|_| malformed("header is not UTF-8"))?;
+    let header: H = serde_json::from_str(header_str)
+        .map_err(|e| malformed(format!("header is not valid JSON: {e}")))?;
+    let (magic, version) = header.id();
+    if magic != H::MAGIC {
+        return Err(malformed(format!(
+            "bad magic {magic:?} (expected {:?})",
+            H::MAGIC
+        )));
+    }
+    if version != H::VERSION {
+        return Err(SnapshotError::Version {
+            found: version,
+            supported: H::VERSION,
+        });
+    }
     Ok((header, &bytes[newline + 1..]))
+}
+
+/// Step 3 of [`open`]: the payload's length (when recorded) and FNV-1a
+/// checksum must be what the header promises.
+pub fn verify_payload<H: SealedHeader>(header: &H, payload: &[u8]) -> Result<(), SnapshotError> {
+    let (len, expected) = header.promised();
+    let actual = fnv1a(payload);
+    if len.is_some_and(|len| len != payload.len() as u64) || actual != expected {
+        return Err(SnapshotError::Checksum { expected, actual });
+    }
+    Ok(())
+}
+
+/// Opens a sealed file: every step of the validation order, then the
+/// payload parsed as JSON straight from `bytes`.
+pub fn open<H: SealedHeader, P: Deserialize>(bytes: &[u8]) -> Result<(H, P), SnapshotError> {
+    let (header, payload) = open_header::<H>(bytes)?;
+    verify_payload(&header, payload)?;
+    let payload_str =
+        std::str::from_utf8(payload).map_err(|_| malformed("payload is not UTF-8"))?;
+    let payload = serde_json::from_str(payload_str)
+        .map_err(|e| malformed(format!("payload is not valid JSON: {e}")))?;
+    Ok((header, payload))
 }
 
 /// Crash-safe file write: readers of `path` observe either the previous
@@ -117,36 +209,6 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn envelope_round_trips() {
-        let bytes = encode_envelope("{\"v\":1}", "{\"data\":[1,2,3]}");
-        let (header, payload) = split_envelope(&bytes).unwrap();
-        assert_eq!(header, "{\"v\":1}");
-        assert_eq!(payload, b"{\"data\":[1,2,3]}");
-    }
-
-    #[test]
-    fn payload_newlines_do_not_confuse_the_split() {
-        let bytes = encode_envelope("{}", "line1\nline2");
-        let (header, payload) = split_envelope(&bytes).unwrap();
-        assert_eq!(header, "{}");
-        assert_eq!(payload, b"line1\nline2");
-    }
-
-    #[test]
-    fn missing_separator_and_bad_utf8_are_typed() {
-        assert_eq!(
-            split_envelope(b"no newline here"),
-            Err(EnvelopeError::MissingSeparator)
-        );
-        assert_eq!(
-            split_envelope(&[0xFF, 0xFE, b'\n', b'x']),
-            Err(EnvelopeError::HeaderNotUtf8)
-        );
-        assert!(!EnvelopeError::MissingSeparator.to_string().is_empty());
-        assert!(!EnvelopeError::HeaderNotUtf8.to_string().is_empty());
-    }
 
     #[test]
     fn atomic_write_replaces_content_and_leaves_no_temp() {

@@ -10,7 +10,7 @@
 //!
 //! # On-disk format (`RLLSTATE` v1)
 //!
-//! The shared envelope from [`crate::snapshot`]:
+//! A sealed file of the one workspace codec ([`crate::snapshot`]):
 //!
 //! ```text
 //! <header JSON, one line>\n
@@ -20,9 +20,8 @@
 //! The header ([`TrainStateMeta`]) records the format version, the FNV-1a
 //! hash of the serialized [`RllConfig`], the training seed, the epoch cursor,
 //! the rll-obs run id, and the byte length + FNV-1a checksum of the payload.
-//! [`TrainState::load`] verifies all of it with typed errors per failure
-//! mode — [`RllError::StateVersionMismatch`], [`RllError::StateChecksumMismatch`]
-//! (covers truncation), [`RllError::MalformedState`] — and resuming
+//! [`TrainState::load`] fails with [`RllError::Snapshot`] when the codec's
+//! checks fail or the header disagrees with the payload, and resuming
 //! additionally cross-checks the config hash and data dimensions
 //! ([`RllError::ResumeMismatch`]).
 //!
@@ -33,7 +32,7 @@
 
 use crate::error::RllError;
 use crate::model::RllModel;
-use crate::snapshot::{atomic_write, encode_envelope, split_envelope};
+use crate::snapshot::{atomic_write, open, seal, SealedHeader, SnapshotError};
 use crate::trainer::{RllConfig, TrainingTrace};
 use crate::Result;
 use rll_nn::AdamState;
@@ -81,6 +80,21 @@ struct StatePayload {
     optimizer: AdamState,
     rng: Rng64State,
     trace: TrainingTrace,
+}
+
+impl SealedHeader for TrainStateMeta {
+    const MAGIC: &'static str = STATE_MAGIC;
+    const VERSION: u32 = STATE_VERSION;
+    fn id(&self) -> (&str, u32) {
+        (&self.magic, self.version)
+    }
+    fn promised(&self) -> (Option<u64>, u64) {
+        (Some(self.payload_bytes), self.payload_fnv1a)
+    }
+    fn stamp(&mut self, len: u64, fnv1a: u64) {
+        self.payload_bytes = len;
+        self.payload_fnv1a = fnv1a;
+    }
 }
 
 /// A resumable training snapshot taken at an epoch boundary.
@@ -157,71 +171,25 @@ impl TrainState {
             rng: self.rng.clone(),
             trace: self.trace.clone(),
         };
-        let payload_json =
-            serde_json::to_string(&payload).map_err(|e| RllError::InvalidConfig {
-                reason: format!("cannot serialize training state payload: {e}"),
-            })?;
-        let mut meta = self.meta.clone();
-        meta.payload_bytes = payload_json.len() as u64;
-        meta.payload_fnv1a = fnv1a(payload_json.as_bytes());
-        let header_json = serde_json::to_string(&meta).map_err(|e| RllError::InvalidConfig {
-            reason: format!("cannot serialize training state header: {e}"),
-        })?;
-        Ok(encode_envelope(&header_json, &payload_json))
+        Ok(seal(self.meta.clone(), &payload)?)
     }
 
     /// Parses and fully validates the on-disk byte format.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let (header_str, payload_bytes) =
-            split_envelope(bytes).map_err(|e| RllError::MalformedState {
-                reason: e.to_string(),
-            })?;
-        let meta: TrainStateMeta =
-            serde_json::from_str(header_str).map_err(|e| RllError::MalformedState {
-                reason: format!("header is not valid JSON: {e}"),
-            })?;
-        if meta.magic != STATE_MAGIC {
-            return Err(RllError::MalformedState {
-                reason: format!("bad magic {:?} (expected {STATE_MAGIC:?})", meta.magic),
-            });
-        }
-        if meta.version != STATE_VERSION {
-            return Err(RllError::StateVersionMismatch {
-                found: meta.version,
-                supported: STATE_VERSION,
-            });
-        }
-        let actual_hash = fnv1a(payload_bytes);
-        if payload_bytes.len() as u64 != meta.payload_bytes || actual_hash != meta.payload_fnv1a {
-            return Err(RllError::StateChecksumMismatch {
-                expected: meta.payload_fnv1a,
-                actual: actual_hash,
-            });
-        }
-        let payload_str =
-            std::str::from_utf8(payload_bytes).map_err(|_| RllError::MalformedState {
-                reason: "payload is not UTF-8".into(),
-            })?;
-        let payload: StatePayload =
-            serde_json::from_str(payload_str).map_err(|e| RllError::MalformedState {
-                reason: format!("payload is not valid JSON: {e}"),
-            })?;
+        let (meta, payload): (TrainStateMeta, StatePayload) = open(bytes)?;
+        let disagree = |reason: String| RllError::Snapshot(SnapshotError::Malformed { reason });
         if meta.epochs_done > meta.total_epochs {
-            return Err(RllError::MalformedState {
-                reason: format!(
-                    "epochs_done {} exceeds total_epochs {}",
-                    meta.epochs_done, meta.total_epochs
-                ),
-            });
+            return Err(disagree(format!(
+                "epochs_done {} exceeds total_epochs {}",
+                meta.epochs_done, meta.total_epochs
+            )));
         }
         if payload.trace.epoch_losses.len() != meta.epochs_done {
-            return Err(RllError::MalformedState {
-                reason: format!(
-                    "trace covers {} epochs but header says {}",
-                    payload.trace.epoch_losses.len(),
-                    meta.epochs_done
-                ),
-            });
+            return Err(disagree(format!(
+                "trace covers {} epochs but header says {}",
+                payload.trace.epoch_losses.len(),
+                meta.epochs_done
+            )));
         }
         Ok(TrainState {
             meta,
@@ -376,7 +344,7 @@ mod tests {
         bytes[last] = bytes[last].wrapping_add(1);
         assert!(matches!(
             TrainState::from_bytes(&bytes),
-            Err(RllError::StateChecksumMismatch { .. })
+            Err(RllError::Snapshot(SnapshotError::Checksum { .. }))
         ));
     }
 
@@ -386,7 +354,7 @@ mod tests {
         let bytes = state.to_bytes().unwrap();
         assert!(matches!(
             TrainState::from_bytes(&bytes[..bytes.len() - 7]),
-            Err(RllError::StateChecksumMismatch { .. })
+            Err(RllError::Snapshot(SnapshotError::Checksum { .. }))
         ));
     }
 
@@ -398,7 +366,7 @@ mod tests {
         let bytes = evil.to_bytes().unwrap();
         assert!(matches!(
             TrainState::from_bytes(&bytes),
-            Err(RllError::StateVersionMismatch { found, supported })
+            Err(RllError::Snapshot(SnapshotError::Version { found, supported }))
                 if found == STATE_VERSION + 1 && supported == STATE_VERSION
         ));
     }
@@ -407,12 +375,28 @@ mod tests {
     fn garbage_is_malformed() {
         assert!(matches!(
             TrainState::from_bytes(b"not a training state"),
-            Err(RllError::MalformedState { .. })
+            Err(RllError::Snapshot(SnapshotError::Malformed { .. }))
         ));
         assert!(matches!(
             TrainState::from_bytes(b"{\"magic\":\"NOPE\"}\n{}"),
-            Err(RllError::MalformedState { .. })
+            Err(RllError::Snapshot(SnapshotError::Malformed { .. }))
         ));
+        // Each remaining codec step: header not UTF-8, foreign magic, and a
+        // checksum-valid payload that is not UTF-8 or not a state.
+        let (_, state) = tiny_state(8, 1);
+        let mut foreign = state.meta.clone();
+        foreign.magic = "RLLCKPT".into();
+        for bytes in [
+            vec![0xFF, b'\n', b'{', b'}'],
+            seal(foreign, &"x").unwrap(),
+            crate::snapshot::seal_bytes(state.meta.clone(), &[0xFF]).unwrap(),
+            seal(state.meta.clone(), &[1, 2]).unwrap(),
+        ] {
+            assert!(matches!(
+                TrainState::from_bytes(&bytes),
+                Err(RllError::Snapshot(SnapshotError::Malformed { .. }))
+            ));
+        }
     }
 
     #[test]
@@ -423,7 +407,7 @@ mod tests {
         let bytes = evil.to_bytes().unwrap();
         assert!(matches!(
             TrainState::from_bytes(&bytes),
-            Err(RllError::MalformedState { .. })
+            Err(RllError::Snapshot(SnapshotError::Malformed { .. }))
         ));
         let mut beyond = state;
         beyond.meta.epochs_done = 99;
@@ -432,7 +416,7 @@ mod tests {
         let bytes = beyond.to_bytes().unwrap();
         assert!(matches!(
             TrainState::from_bytes(&bytes),
-            Err(RllError::MalformedState { .. })
+            Err(RllError::Snapshot(SnapshotError::Malformed { .. }))
         ));
     }
 

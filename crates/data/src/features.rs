@@ -298,13 +298,24 @@ impl Normalizer {
         Ok(Normalizer { means, stds })
     }
 
+    /// Per-column means.
+    pub fn means(&self) -> &[f64] {
+        &self.means
+    }
+
+    /// Per-column scales: one per mean, unless deserialized from bad bytes.
+    pub fn stds(&self) -> &[f64] {
+        &self.stds
+    }
+
     /// Applies the fitted transform.
     pub fn transform(&self, features: &Matrix) -> Result<Matrix> {
-        if features.cols() != self.means.len() {
+        if features.cols() != self.means.len() || self.stds.len() != self.means.len() {
             return Err(DataError::InvalidConfig {
                 reason: format!(
-                    "normalizer fitted on {} columns, input has {}",
+                    "normalizer fitted on {} columns ({} scales), input has {}",
                     self.means.len(),
+                    self.stds.len(),
                     features.cols()
                 ),
             });

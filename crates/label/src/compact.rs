@@ -11,10 +11,10 @@
 //! {"schema":"confidence_snapshot/v1","estimator":"bayesian",...}
 //! ```
 //!
-//! The file reuses the workspace envelope codec ([`rll_core::snapshot`]) and
-//! is written atomically; the payload carries the exact tracker cell state
-//! (example → worker → label, plus per-example `last_seq`) and the dedup
-//! receipt table at `covered_seq`. Replay becomes snapshot-load +
+//! The one workspace codec ([`rll_core::snapshot`]) seals and opens the
+//! file, which is written atomically; the payload carries the exact tracker
+//! cell state (example → worker → label, plus per-example `last_seq`) and
+//! the dedup receipt table at `covered_seq`. Replay becomes snapshot-load +
 //! tail-replay of the surviving segments, filtered to `seq > covered_seq` —
 //! byte-identical to a full-log replay because the cell state is the same
 //! last-write-wins table either way.
@@ -48,9 +48,8 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use rll_core::snapshot::{atomic_write, encode_envelope, split_envelope};
+use rll_core::snapshot::{atomic_write, open, seal, SealedHeader};
 use rll_crowd::ConfidenceEstimator;
-use rll_tensor::hash::fnv1a;
 use serde::{Deserialize, Serialize};
 
 use crate::confidence::ConfidenceTracker;
@@ -76,6 +75,20 @@ struct SnapshotHeader {
     covered_seq: u64,
     /// FNV-1a over the payload bytes.
     payload_fnv1a: u64,
+}
+
+impl SealedHeader for SnapshotHeader {
+    const MAGIC: &'static str = SNAPSHOT_MAGIC;
+    const VERSION: u32 = SNAPSHOT_VERSION;
+    fn id(&self) -> (&str, u32) {
+        (&self.magic, self.version)
+    }
+    fn promised(&self) -> (Option<u64>, u64) {
+        (None, self.payload_fnv1a)
+    }
+    fn stamp(&mut self, _len: u64, fnv1a: u64) {
+        self.payload_fnv1a = fnv1a;
+    }
 }
 
 /// One example's frozen cell state.
@@ -188,27 +201,8 @@ pub fn read_snapshot(path: &Path) -> Result<Option<ConfidenceSnapshot>> {
     let corrupt = |reason: String| LabelError::Corrupt {
         reason: format!("confidence snapshot {}: {reason}", path.display()),
     };
-    let (header_str, payload) =
-        split_envelope(&bytes).map_err(|e| corrupt(format!("bad envelope: {e}")))?;
-    let header: SnapshotHeader =
-        serde_json::from_str(header_str).map_err(|e| corrupt(format!("bad header: {e}")))?;
-    if header.magic != SNAPSHOT_MAGIC || header.version != SNAPSHOT_VERSION {
-        return Err(corrupt(format!(
-            "magic/version {}/{} unsupported",
-            header.magic, header.version
-        )));
-    }
-    let actual = fnv1a(payload);
-    if header.payload_fnv1a != actual {
-        return Err(corrupt(format!(
-            "payload checksum {actual:016x} != header {:016x}",
-            header.payload_fnv1a
-        )));
-    }
-    let payload_str =
-        std::str::from_utf8(payload).map_err(|_| corrupt("payload not UTF-8".into()))?;
-    let snapshot: ConfidenceSnapshot =
-        serde_json::from_str(payload_str).map_err(|e| corrupt(format!("bad payload: {e}")))?;
+    let (header, snapshot): (SnapshotHeader, ConfidenceSnapshot) =
+        open(&bytes).map_err(|e| corrupt(e.to_string()))?;
     if snapshot.schema != SNAPSHOT_SCHEMA {
         return Err(corrupt(format!(
             "schema {:?}, expected {SNAPSHOT_SCHEMA:?}",
@@ -228,19 +222,15 @@ pub fn read_snapshot(path: &Path) -> Result<Option<ConfidenceSnapshot>> {
 /// rename): after a crash the directory holds either the previous snapshot
 /// state or this one, never a torn mix.
 pub fn write_snapshot(path: &Path, snapshot: &ConfidenceSnapshot) -> Result<()> {
-    let payload = serde_json::to_string(snapshot).map_err(|e| LabelError::Corrupt {
-        reason: format!("snapshot serialization failed: {e}"),
-    })?;
     let header = SnapshotHeader {
         magic: SNAPSHOT_MAGIC.to_string(),
         version: SNAPSHOT_VERSION,
         covered_seq: snapshot.covered_seq,
-        payload_fnv1a: fnv1a(payload.as_bytes()),
+        payload_fnv1a: 0,
     };
-    let header_json = serde_json::to_string(&header).map_err(|e| LabelError::Corrupt {
-        reason: format!("snapshot header serialization failed: {e}"),
+    let bytes = seal(header, snapshot).map_err(|e| LabelError::Corrupt {
+        reason: format!("confidence snapshot {}: {e}", path.display()),
     })?;
-    let bytes = encode_envelope(&header_json, &payload);
     atomic_write(path, &bytes).map_err(|e| LabelError::io(path, "write", e))
 }
 

@@ -3,9 +3,9 @@
 //! ## On-disk layout
 //!
 //! A WAL directory holds flat segment files named
-//! `shard<SSSS>-seg<NNNNNNNN>.rllwal`. Each segment reuses the workspace
-//! envelope layout ([`rll_core::snapshot`]): a one-line JSON header followed
-//! by the payload — here a sequence of *record lines*:
+//! `shard<SSSS>-seg<NNNNNNNN>.rllwal`. Each segment is a sealed file of the
+//! one workspace codec ([`rll_core::snapshot`]): a one-line JSON header
+//! followed by the payload — here a sequence of *record lines*:
 //!
 //! ```text
 //! {"magic":"RLLWAL","version":1,"shard":0,"segment":0,...}\n
@@ -36,7 +36,7 @@ use std::io::Write as _;
 use std::num::{NonZeroU32, NonZeroU64};
 use std::path::{Path, PathBuf};
 
-use rll_core::snapshot::{atomic_write, split_envelope};
+use rll_core::snapshot::{atomic_write, open_header, seal_bytes, verify_payload, SealedHeader};
 use rll_tensor::hash::fnv1a;
 use serde::{Deserialize, Serialize};
 
@@ -138,6 +138,40 @@ struct SegmentHeader {
     records: u64,
     /// FNV-1a over the payload bytes; meaningful only when `sealed`.
     payload_fnv1a: u64,
+}
+
+impl SegmentHeader {
+    /// The header of a fresh, open segment.
+    fn open(shard: u32, segment: u64, base_seq: u64) -> SegmentHeader {
+        SegmentHeader {
+            magic: WAL_MAGIC.to_string(),
+            version: WAL_VERSION,
+            shard,
+            segment,
+            base_seq,
+            sealed: false,
+            records: 0,
+            payload_fnv1a: 0,
+        }
+    }
+}
+
+impl SealedHeader for SegmentHeader {
+    const MAGIC: &'static str = WAL_MAGIC;
+    const VERSION: u32 = WAL_VERSION;
+    fn id(&self) -> (&str, u32) {
+        (&self.magic, self.version)
+    }
+    fn promised(&self) -> (Option<u64>, u64) {
+        (None, self.payload_fnv1a)
+    }
+    /// An open segment is appended to in place, so only a sealed one
+    /// records its checksum.
+    fn stamp(&mut self, _len: u64, fnv1a: u64) {
+        if self.sealed {
+            self.payload_fnv1a = fnv1a;
+        }
+    }
 }
 
 /// Why a record (or segment) was rejected during replay.
@@ -289,7 +323,9 @@ impl ShardedWal {
             let segs = list_segments(&config, shard)?;
             match segs.last() {
                 Some(&(segment, _)) => {
-                    let records = count_records(&config.segment_path(shard, segment))?;
+                    let path = config.segment_path(shard, segment);
+                    let bytes = fs::read(&path).map_err(|e| LabelError::io(&path, "read", e))?;
+                    let records = record_lines(&bytes);
                     shards.push(ShardState {
                         active_segment: Some(segment),
                         active_records: records,
@@ -370,10 +406,7 @@ impl ShardedWal {
             }
         };
 
-        let json = serde_json::to_string(&record).map_err(|e| LabelError::Corrupt {
-            reason: format!("vote record serialization failed: {e}"),
-        })?;
-        let line = format!("{:016x} {json}\n", fnv1a(json.as_bytes()));
+        let line = record_line(&record)?;
         let path = self.config.segment_path(shard, segment);
         let mut file = fs::OpenOptions::new()
             .append(true)
@@ -398,19 +431,9 @@ impl ShardedWal {
 
     /// Writes a fresh unsealed segment file containing only its header.
     fn create_segment(&self, shard: u32, segment: u64, base_seq: u64) -> Result<()> {
-        let header = SegmentHeader {
-            magic: WAL_MAGIC.to_string(),
-            version: WAL_VERSION,
-            shard,
-            segment,
-            base_seq,
-            sealed: false,
-            records: 0,
-            payload_fnv1a: 0,
-        };
         let path = self.config.segment_path(shard, segment);
-        let bytes = header_line(&header)?;
-        atomic_write(&path, bytes.as_bytes()).map_err(|e| LabelError::io(&path, "create", e))
+        let header = SegmentHeader::open(shard, segment, base_seq);
+        write_segment(&path, header, b"", "create")
     }
 
     /// Seals a full segment: atomically rewrites it with `sealed: true`, the
@@ -418,31 +441,36 @@ impl ShardedWal {
     fn seal_segment(&self, shard: u32, segment: u64) -> Result<()> {
         let path = self.config.segment_path(shard, segment);
         let bytes = fs::read(&path).map_err(|e| LabelError::io(&path, "read", e))?;
-        let (header_str, payload) = split_envelope(&bytes).map_err(|e| LabelError::Corrupt {
-            reason: format!("sealing {}: {e}", path.display()),
-        })?;
-        let mut header: SegmentHeader =
-            serde_json::from_str(header_str).map_err(|e| LabelError::Corrupt {
-                reason: format!("sealing {}: bad header: {e}", path.display()),
+        let (mut header, payload) =
+            open_header::<SegmentHeader>(&bytes).map_err(|e| LabelError::Corrupt {
+                reason: format!("sealing {}: {e}", path.display()),
             })?;
         header.sealed = true;
         header.records = payload_line_count(payload);
-        header.payload_fnv1a = fnv1a(payload);
-        let mut out = header_line(&header)?.into_bytes();
-        out.extend_from_slice(payload);
-        atomic_write(&path, &out).map_err(|e| LabelError::io(&path, "seal", e))
+        write_segment(&path, header, payload, "seal")
     }
 }
 
-fn header_line(header: &SegmentHeader) -> Result<String> {
-    let json = serde_json::to_string(header).map_err(|e| LabelError::Corrupt {
-        reason: format!("segment header serialization failed: {e}"),
+/// Seals `header` over `payload` and atomically writes the segment.
+fn write_segment(
+    path: &Path,
+    header: SegmentHeader,
+    payload: &[u8],
+    op: &'static str,
+) -> Result<()> {
+    let bytes = seal_bytes(header, payload).map_err(|e| LabelError::Corrupt {
+        reason: format!("segment {}: {e}", path.display()),
     })?;
-    Ok(format!("{json}\n"))
+    atomic_write(path, &bytes).map_err(|e| LabelError::io(path, op, e))
 }
 
 fn payload_line_count(payload: &[u8]) -> u64 {
     payload.iter().filter(|&&b| b == b'\n').count() as u64
+}
+
+/// Record lines of a segment file: every line after the header line.
+fn record_lines(bytes: &[u8]) -> u64 {
+    payload_line_count(bytes).saturating_sub(1)
 }
 
 /// Replays the whole WAL directory **without repairing anything**. Safe to
@@ -544,14 +572,16 @@ fn replay_shard(
     Ok(records)
 }
 
-/// Result of scanning one segment file: the verified record prefix and the
-/// first fault, if any.
+/// Result of scanning one segment file: whether its header opened as
+/// sealed, its byte length, the verified record prefix, and the first fault.
 struct SegmentScan {
+    sealed: bool,
+    bytes: u64,
     records: Vec<VoteRecord>,
     corruption: Option<Corruption>,
 }
 
-fn scan_segment(path: &Path, shard: u32, segment: u64, mut last_seq: u64) -> Result<SegmentScan> {
+fn scan_segment(path: &Path, shard: u32, segment: u64, last_seq: u64) -> Result<SegmentScan> {
     let bytes = fs::read(path).map_err(|e| LabelError::io(path, "read", e))?;
     let fault = |index: u64, kind: CorruptionKind, detail: String, dropped: u64| Corruption {
         shard,
@@ -562,121 +592,89 @@ fn scan_segment(path: &Path, shard: u32, segment: u64, mut last_seq: u64) -> Res
         detail,
         dropped_records: dropped,
     };
-
-    let (header_str, payload) = match split_envelope(&bytes) {
-        Ok(parts) => parts,
-        Err(e) => {
-            return Ok(SegmentScan {
-                records: Vec::new(),
-                corruption: Some(fault(0, CorruptionKind::BadHeader, e.to_string(), 0)),
-            })
-        }
+    let scan = |sealed, records, corruption| SegmentScan {
+        sealed,
+        bytes: bytes.len() as u64,
+        records,
+        corruption,
     };
-    let header: SegmentHeader = match serde_json::from_str(header_str) {
-        Ok(h) => h,
-        Err(e) => {
-            return Ok(SegmentScan {
-                records: Vec::new(),
-                corruption: Some(fault(
-                    0,
-                    CorruptionKind::BadHeader,
-                    format!("unparseable header: {e}"),
-                    payload_line_count(payload),
-                )),
-            })
-        }
-    };
-    if header.magic != WAL_MAGIC
-        || header.version != WAL_VERSION
-        || header.shard != shard
-        || header.segment != segment
-    {
-        return Ok(SegmentScan {
-            records: Vec::new(),
-            corruption: Some(fault(
-                0,
-                CorruptionKind::BadHeader,
-                format!(
-                    "header ({}/{}/shard {}/seg {}) disagrees with file {}",
-                    header.magic,
-                    header.version,
-                    header.shard,
-                    header.segment,
-                    path.display()
-                ),
-                payload_line_count(payload),
-            )),
-        });
-    }
 
+    let detail = match open_header::<SegmentHeader>(&bytes) {
+        Ok((header, _)) if header.shard != shard || header.segment != segment => format!(
+            "header (shard {}/seg {}) disagrees with file {}",
+            header.shard,
+            header.segment,
+            path.display()
+        ),
+        Ok((header, payload)) => {
+            let (records, mut corruption) = scan_records(payload, last_seq, &fault);
+            let count = records.len() as u64;
+            if corruption.is_none()
+                && header.sealed
+                && (header.records != count || verify_payload(&header, payload).is_err())
+            {
+                let detail = format!(
+                    "sealed header claims {} records / checksum {:016x}, payload has {count}",
+                    header.records, header.payload_fnv1a
+                );
+                let kind = CorruptionKind::SealedMetadataMismatch;
+                corruption = Some(fault(0, kind, detail, 0));
+            }
+            return Ok(scan(header.sealed, records, corruption));
+        }
+        Err(e) => e.to_string(),
+    };
+    let corruption = fault(0, CorruptionKind::BadHeader, detail, record_lines(&bytes));
+    Ok(scan(false, Vec::new(), Some(corruption)))
+}
+
+/// Scans a segment's record lines up to the first fault. `fault` builds a
+/// finding from `(record_index, kind, detail, dropped_records)`.
+fn scan_records(
+    payload: &[u8],
+    mut last_seq: u64,
+    fault: &impl Fn(u64, CorruptionKind, String, u64) -> Corruption,
+) -> (Vec<VoteRecord>, Option<Corruption>) {
     let mut records: Vec<VoteRecord> = Vec::new();
-    let mut offset = 0usize;
-    let mut index = 0u64;
-    while offset < payload.len() {
-        let rest = &payload[offset..];
-        let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
+    for (index, line) in (0u64..).zip(payload.split_inclusive(|&b| b == b'\n')) {
+        let parsed = match line.strip_suffix(b"\n") {
             // No trailing newline: a torn in-flight append.
-            return Ok(SegmentScan {
-                records,
-                corruption: Some(fault(
-                    index,
-                    CorruptionKind::TornTail,
-                    format!("{} trailing bytes with no newline", rest.len()),
-                    1,
-                )),
-            });
-        };
-        let line = &rest[..nl];
-        // The lines left (`dropped_records`) are counted only on a fault:
-        // counting them per record made replay quadratic in segment length.
-        match parse_record_line(line) {
-            Ok(rec) => {
-                if rec.seq <= last_seq {
-                    return Ok(SegmentScan {
-                        records,
-                        corruption: Some(fault(
-                            index,
-                            CorruptionKind::NonMonotoneSeq,
-                            format!("seq {} after {}", rec.seq, last_seq),
-                            payload_line_count(rest),
-                        )),
-                    });
+            None => Err((
+                CorruptionKind::TornTail,
+                format!("{} trailing bytes with no newline", line.len()),
+            )),
+            Some(line) => parse_record_line(line).and_then(|rec| {
+                if rec.seq > last_seq {
+                    Ok(rec)
+                } else {
+                    let detail = format!("seq {} after {last_seq}", rec.seq);
+                    Err((CorruptionKind::NonMonotoneSeq, detail))
                 }
+            }),
+        };
+        match parsed {
+            Ok(rec) => {
                 last_seq = rec.seq;
                 records.push(rec);
             }
+            // The lines left (`dropped_records`; a torn tail is one) are
+            // counted only on a fault: counting them per record made replay
+            // quadratic in segment length.
             Err((kind, detail)) => {
-                return Ok(SegmentScan {
-                    records,
-                    corruption: Some(fault(index, kind, detail, payload_line_count(rest))),
-                });
+                let dropped = payload_line_count(payload).saturating_sub(index).max(1);
+                return (records, Some(fault(index, kind, detail, dropped)));
             }
         }
-        offset += nl + 1;
-        index += 1;
     }
+    (records, None)
+}
 
-    if header.sealed {
-        let count = records.len() as u64;
-        if header.records != count || header.payload_fnv1a != fnv1a(payload) {
-            return Ok(SegmentScan {
-                records,
-                corruption: Some(fault(
-                    0,
-                    CorruptionKind::SealedMetadataMismatch,
-                    format!(
-                        "sealed header claims {} records / checksum {:016x}, payload has {}",
-                        header.records, header.payload_fnv1a, count
-                    ),
-                    0,
-                )),
-            });
-        }
-    }
-    Ok(SegmentScan {
-        records,
-        corruption: None,
-    })
+/// Renders one `"<fnv1a-hex> <json>\n"` record line.
+fn record_line(record: &VoteRecord) -> Result<String> {
+    let json = serde_json::to_string(record).map_err(|e| LabelError::Corrupt {
+        reason: format!("vote record serialization failed: {e}"),
+    })?;
+    Ok(format!("{:016x} {json}\n", fnv1a(json.as_bytes())))
 }
 
 /// Parses one `"<fnv1a-hex> <json>"` record line.
@@ -714,33 +712,23 @@ fn rewrite_segment(
     records: &[VoteRecord],
     sealed: bool,
 ) -> Result<()> {
-    let mut payload = String::new();
-    for rec in records {
-        let json = serde_json::to_string(rec).map_err(|e| LabelError::Corrupt {
-            reason: format!("vote record serialization failed: {e}"),
-        })?;
-        payload.push_str(&format!("{:016x} {json}\n", fnv1a(json.as_bytes())));
+    let payload = records
+        .iter()
+        .map(record_line)
+        .collect::<Result<String>>()?;
+    let mut header = SegmentHeader::open(shard, segment, records.first().map_or(0, |r| r.seq));
+    if sealed {
+        header.sealed = true;
+        header.records = records.len() as u64;
     }
-    let header = SegmentHeader {
-        magic: WAL_MAGIC.to_string(),
-        version: WAL_VERSION,
-        shard,
-        segment,
-        base_seq: records.first().map(|r| r.seq).unwrap_or(0),
-        sealed,
-        records: if sealed { records.len() as u64 } else { 0 },
-        payload_fnv1a: if sealed { fnv1a(payload.as_bytes()) } else { 0 },
-    };
-    let mut out = header_line(&header)?.into_bytes();
-    out.extend_from_slice(payload.as_bytes());
-    atomic_write(path, &out).map_err(|e| LabelError::io(path, "rewrite", e))
+    write_segment(path, header, payload.as_bytes(), "rewrite")
 }
 
 /// Renames dropped segments out of the chain so replay never resurrects
 /// records past a truncation point.
 fn quarantine(shard: u32, segments: &[(u64, PathBuf)], replay: &mut WalReplay) -> Result<()> {
     for (segment, path) in segments {
-        let dropped = count_records(path).unwrap_or(0);
+        let dropped = fs::read(path).map_or(0, |bytes| record_lines(&bytes));
         replay.dropped_records += dropped;
         let mut target = path.clone().into_os_string();
         target.push(".");
@@ -757,15 +745,6 @@ fn quarantine(shard: u32, segments: &[(u64, PathBuf)], replay: &mut WalReplay) -
         });
     }
     Ok(())
-}
-
-/// Record-line count of a segment file (0 on any read problem).
-fn count_records(path: &Path) -> Result<u64> {
-    let bytes = fs::read(path).map_err(|e| LabelError::io(path, "read", e))?;
-    match split_envelope(&bytes) {
-        Ok((_, payload)) => Ok(payload_line_count(payload)),
-        Err(_) => Ok(0),
-    }
 }
 
 /// One sealed segment whose records all sit at or below a compaction target.
@@ -804,21 +783,8 @@ pub fn compactable_segments(
                 break; // mid-chain gap: leave it for open()'s repair
             }
             expected = Some(segment + 1);
-            let bytes = fs::metadata(path)
-                .map_err(|e| LabelError::io(path, "stat", e))?
-                .len();
-            let raw = fs::read(path).map_err(|e| LabelError::io(path, "read", e))?;
-            let Ok((header_str, _)) = split_envelope(&raw) else {
-                break;
-            };
-            let Ok(header) = serde_json::from_str::<SegmentHeader>(header_str) else {
-                break;
-            };
-            if !header.sealed {
-                break;
-            }
             let scan = scan_segment(path, shard, segment, last_seq)?;
-            if scan.corruption.is_some() {
+            if scan.corruption.is_some() || !scan.sealed {
                 break;
             }
             if let Some(last) = scan.records.last() {
@@ -832,7 +798,7 @@ pub fn compactable_segments(
                 segment,
                 path: path.clone(),
                 records: scan.records.len() as u64,
-                bytes,
+                bytes: scan.bytes,
             });
         }
     }

@@ -16,23 +16,23 @@
 //! architecture config, the input/embedding dimensions, the rll-obs run id of
 //! the training run that produced the weights, and the byte length + FNV-1a
 //! checksum of the payload. [`Checkpoint::load`] verifies all of it and
-//! returns a typed [`ServeError`] per failure mode: [`ServeError::VersionMismatch`],
-//! [`ServeError::ChecksumMismatch`] (covers truncation), and
-//! [`ServeError::DimMismatch`] when the deserialized network disagrees with
-//! the header.
+//! returns a typed [`ServeError`] per failure mode: [`ServeError::Snapshot`]
+//! when the sealed-file checks fail (malformed, version, checksum — the last
+//! covers truncation), and [`ServeError::DimMismatch`] when the deserialized
+//! network or normalizer disagrees with the header.
 //!
 //! JSON is byte-exact for `f64` here: the vendored writer renders floats via
 //! Rust's shortest-round-trip formatting, so a save→load cycle reproduces
 //! bit-identical weights and therefore bit-identical embeddings.
 //!
-//! The envelope layout and the crash-safe (atomic temp+fsync+rename) writer
-//! are shared with the `RLLSTATE` training snapshot via
+//! The envelope, its validation order and the crash-safe (atomic
+//! temp+fsync+rename) writer belong to the one workspace codec,
 //! [`rll_core::snapshot`]; this module owns only the `RLLCKPT` header fields
-//! and their validation.
+//! and the checks of the payload against them.
 
 use crate::error::ServeError;
 use crate::Result;
-use rll_core::snapshot::{atomic_write, encode_envelope, split_envelope};
+use rll_core::snapshot::{atomic_write, open, seal, SealedHeader};
 use rll_core::{RllModel, RllPipeline};
 use rll_data::Normalizer;
 use rll_tensor::hash::fnv1a;
@@ -73,6 +73,21 @@ pub struct CheckpointMeta {
 struct Payload {
     model: RllModel,
     normalizer: Normalizer,
+}
+
+impl SealedHeader for CheckpointMeta {
+    const MAGIC: &'static str = MAGIC;
+    const VERSION: u32 = FORMAT_VERSION;
+    fn id(&self) -> (&str, u32) {
+        (&self.magic, self.version)
+    }
+    fn promised(&self) -> (Option<u64>, u64) {
+        (Some(self.payload_bytes), self.payload_fnv1a)
+    }
+    fn stamp(&mut self, len: u64, fnv1a: u64) {
+        self.payload_bytes = len;
+        self.payload_fnv1a = fnv1a;
+    }
 }
 
 /// A loaded (or about-to-be-saved) model checkpoint.
@@ -131,73 +146,36 @@ impl Checkpoint {
             model: self.model.clone(),
             normalizer: self.normalizer.clone(),
         };
-        let payload_json =
-            serde_json::to_string(&payload).map_err(|e| ServeError::InvalidConfig {
-                reason: format!("cannot serialize checkpoint payload: {e}"),
-            })?;
-        let mut meta = self.meta.clone();
-        meta.payload_bytes = payload_json.len() as u64;
-        meta.payload_fnv1a = fnv1a(payload_json.as_bytes());
-        let header_json = serde_json::to_string(&meta).map_err(|e| ServeError::InvalidConfig {
-            reason: format!("cannot serialize checkpoint header: {e}"),
-        })?;
-        Ok(encode_envelope(&header_json, &payload_json))
+        Ok(seal(self.meta.clone(), &payload)?)
     }
 
     /// Parses and fully validates the on-disk byte format.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let (header_str, payload_bytes) =
-            split_envelope(bytes).map_err(|e| ServeError::MalformedCheckpoint {
-                reason: e.to_string(),
-            })?;
-        let meta: CheckpointMeta =
-            serde_json::from_str(header_str).map_err(|e| ServeError::MalformedCheckpoint {
-                reason: format!("header is not valid JSON: {e}"),
-            })?;
-        if meta.magic != MAGIC {
-            return Err(ServeError::MalformedCheckpoint {
-                reason: format!("bad magic {:?} (expected {MAGIC:?})", meta.magic),
-            });
-        }
-        if meta.version != FORMAT_VERSION {
-            return Err(ServeError::VersionMismatch {
-                found: meta.version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let actual_hash = fnv1a(payload_bytes);
-        if payload_bytes.len() as u64 != meta.payload_bytes || actual_hash != meta.payload_fnv1a {
-            return Err(ServeError::ChecksumMismatch {
-                expected: meta.payload_fnv1a,
-                actual: actual_hash,
-            });
-        }
-        let payload_str =
-            std::str::from_utf8(payload_bytes).map_err(|_| ServeError::MalformedCheckpoint {
-                reason: "payload is not UTF-8".into(),
-            })?;
-        let payload: Payload =
-            serde_json::from_str(payload_str).map_err(|e| ServeError::MalformedCheckpoint {
-                reason: format!("payload is not valid JSON: {e}"),
-            })?;
-        // Header ↔ network consistency: the deserialized layer chain must
-        // match what the header advertises.
+        let (meta, payload): (CheckpointMeta, Payload) = open(bytes)?;
+        // Header ↔ payload consistency: the layer chain and the normalizer
+        // must match the header. A forged normalizer would otherwise fail
+        // every request (wrong width) or panic an engine worker (fewer stds
+        // than means).
         let dims = payload.model.mlp().layer_dims();
-        let actual_in = dims.first().copied().unwrap_or(0);
-        let actual_out = dims.last().copied().unwrap_or(0);
-        if actual_in != meta.input_dim {
-            return Err(ServeError::DimMismatch {
-                what: "checkpoint input_dim",
-                expected: meta.input_dim,
-                actual: actual_in,
-            });
-        }
-        if actual_out != meta.embedding_dim {
-            return Err(ServeError::DimMismatch {
-                what: "checkpoint embedding_dim",
-                expected: meta.embedding_dim,
-                actual: actual_out,
-            });
+        let first = dims.first().copied().unwrap_or(0);
+        let last = dims.last().copied().unwrap_or(0);
+        let (means, stds) = (
+            payload.normalizer.means().len(),
+            payload.normalizer.stds().len(),
+        );
+        for (what, expected, actual) in [
+            ("checkpoint input_dim", meta.input_dim, first),
+            ("checkpoint embedding_dim", meta.embedding_dim, last),
+            ("checkpoint normalizer means", meta.input_dim, means),
+            ("checkpoint normalizer stds", means, stds),
+        ] {
+            if expected != actual {
+                return Err(ServeError::DimMismatch {
+                    what,
+                    expected,
+                    actual,
+                });
+            }
         }
         Ok(Checkpoint {
             meta,
@@ -228,6 +206,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rll_core::snapshot::SnapshotError;
     use rll_core::RllModelConfig;
     use rll_tensor::{Matrix, Rng64};
 
@@ -270,7 +249,7 @@ mod tests {
         bytes[last] = bytes[last].wrapping_add(1);
         assert!(matches!(
             Checkpoint::from_bytes(&bytes),
-            Err(ServeError::ChecksumMismatch { .. })
+            Err(ServeError::Snapshot(SnapshotError::Checksum { .. }))
         ));
     }
 
@@ -279,7 +258,7 @@ mod tests {
         let bytes = tiny_checkpoint(3).to_bytes().unwrap();
         assert!(matches!(
             Checkpoint::from_bytes(&bytes[..bytes.len() - 10]),
-            Err(ServeError::ChecksumMismatch { .. })
+            Err(ServeError::Snapshot(SnapshotError::Checksum { .. }))
         ));
     }
 
@@ -291,7 +270,7 @@ mod tests {
         let bytes = evil.to_bytes().unwrap();
         assert!(matches!(
             Checkpoint::from_bytes(&bytes),
-            Err(ServeError::VersionMismatch { found, supported })
+            Err(ServeError::Snapshot(SnapshotError::Version { found, supported }))
                 if found == FORMAT_VERSION + 1 && supported == FORMAT_VERSION
         ));
     }
@@ -308,15 +287,43 @@ mod tests {
         ));
     }
 
+    /// A checksum-valid file whose normalizer disagrees with the header
+    /// must not load (`to_bytes` recomputes the checksum over the forgery).
+    #[test]
+    fn forged_normalizer_is_a_dim_error() {
+        let forge = |json: &str| {
+            let normalizer: Normalizer = serde_json::from_str(json).unwrap();
+            let ckpt = Checkpoint::new(tiny_checkpoint(7).model, normalizer, "forged").unwrap();
+            Checkpoint::from_bytes(&ckpt.to_bytes().unwrap())
+        };
+        assert!(matches!(
+            forge(r#"{"means":[0,0,0,0,0],"stds":[1,1]}"#),
+            Err(ServeError::DimMismatch {
+                what: "checkpoint normalizer stds",
+                expected: 5,
+                actual: 2
+            })
+        ));
+        assert!(matches!(
+            forge(r#"{"means":[0,0,0],"stds":[1,1,1]}"#),
+            Err(ServeError::DimMismatch {
+                what: "checkpoint normalizer means",
+                expected: 5,
+                actual: 3
+            })
+        ));
+        assert!(forge(r#"{"means":[0,0,0,0,0],"stds":[1,1,1,1,1]}"#).is_ok());
+    }
+
     #[test]
     fn garbage_is_malformed() {
         assert!(matches!(
             Checkpoint::from_bytes(b"not a checkpoint"),
-            Err(ServeError::MalformedCheckpoint { .. })
+            Err(ServeError::Snapshot(SnapshotError::Malformed { .. }))
         ));
         assert!(matches!(
             Checkpoint::from_bytes(b"{\"magic\":\"NOPE\"}\n{}"),
-            Err(ServeError::MalformedCheckpoint { .. })
+            Err(ServeError::Snapshot(SnapshotError::Malformed { .. }))
         ));
     }
 

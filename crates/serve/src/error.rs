@@ -1,5 +1,6 @@
 //! Typed errors for the serving layer.
 
+use rll_core::snapshot::SnapshotError;
 use rll_core::RllError;
 use std::fmt;
 
@@ -14,26 +15,10 @@ pub enum ServeError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// A checkpoint file is not parseable as the documented format.
-    MalformedCheckpoint {
-        /// Human-readable description.
-        reason: String,
-    },
-    /// The checkpoint was written by an incompatible format version.
-    VersionMismatch {
-        /// Version found in the header.
-        found: u32,
-        /// Version this build reads and writes.
-        supported: u32,
-    },
-    /// The payload bytes do not hash to the checksum the header promises —
-    /// the file is corrupted or truncated.
-    ChecksumMismatch {
-        /// Checksum recorded in the header.
-        expected: u64,
-        /// Checksum of the bytes actually present.
-        actual: u64,
-    },
+    /// A checkpoint file failed the sealed-file checks: malformed, an
+    /// unsupported format version, or a checksum mismatch (the file is
+    /// corrupted or truncated).
+    Snapshot(SnapshotError),
     /// A dimension recorded in the header disagrees with the deserialized
     /// network, or a request's feature vector disagrees with the model.
     DimMismatch {
@@ -70,17 +55,7 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Io { context, source } => write!(f, "io error ({context}): {source}"),
-            ServeError::MalformedCheckpoint { reason } => {
-                write!(f, "malformed checkpoint: {reason}")
-            }
-            ServeError::VersionMismatch { found, supported } => write!(
-                f,
-                "checkpoint format version {found} is not supported (this build reads v{supported})"
-            ),
-            ServeError::ChecksumMismatch { expected, actual } => write!(
-                f,
-                "checkpoint checksum mismatch: header says {expected:#018x}, payload hashes to {actual:#018x} (file corrupted or truncated)"
-            ),
+            ServeError::Snapshot(e) => write!(f, "checkpoint {e}"),
             ServeError::DimMismatch {
                 what,
                 expected,
@@ -102,6 +77,7 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Io { source, .. } => Some(source),
             ServeError::Core(e) => Some(e),
+            ServeError::Snapshot(e) => Some(e),
             _ => None,
         }
     }
@@ -110,6 +86,12 @@ impl std::error::Error for ServeError {
 impl From<RllError> for ServeError {
     fn from(e: RllError) -> Self {
         ServeError::Core(e)
+    }
+}
+
+impl From<SnapshotError> for ServeError {
+    fn from(e: SnapshotError) -> Self {
+        ServeError::Snapshot(e)
     }
 }
 
@@ -129,15 +111,15 @@ mod tests {
 
     #[test]
     fn display_names_the_failure() {
-        let e = ServeError::VersionMismatch {
+        let e = ServeError::Snapshot(SnapshotError::Version {
             found: 9,
             supported: 1,
-        };
+        });
         assert!(e.to_string().contains("version 9"));
-        let e = ServeError::ChecksumMismatch {
+        let e = ServeError::Snapshot(SnapshotError::Checksum {
             expected: 1,
             actual: 2,
-        };
+        });
         assert!(e.to_string().contains("corrupted or truncated"));
         let e = ServeError::QueueFull { capacity: 8 };
         assert!(e.to_string().contains("capacity 8"));

@@ -2,6 +2,7 @@
 //! demand *bit-identical* embeddings from the reloaded model. Also pins the
 //! typed-error contract for corrupted and truncated checkpoint files.
 
+use rll_core::snapshot::SnapshotError;
 use rll_core::{RllConfig, RllPipeline};
 use rll_serve::{Checkpoint, ServeError, ServingModel};
 use rll_tensor::Matrix;
@@ -71,7 +72,7 @@ fn corrupted_payload_yields_checksum_mismatch() {
     std::fs::write(&path, &bytes).expect("rewrite");
 
     match Checkpoint::load(&path) {
-        Err(ServeError::ChecksumMismatch { expected, actual }) => {
+        Err(ServeError::Snapshot(SnapshotError::Checksum { expected, actual })) => {
             assert_ne!(expected, actual);
         }
         other => panic!("expected ChecksumMismatch, got {other:?}"),
@@ -89,7 +90,9 @@ fn truncated_file_yields_typed_error() {
     std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
 
     match Checkpoint::load(&path) {
-        Err(ServeError::ChecksumMismatch { .. }) | Err(ServeError::MalformedCheckpoint { .. }) => {}
+        Err(ServeError::Snapshot(
+            SnapshotError::Checksum { .. } | SnapshotError::Malformed { .. },
+        )) => {}
         other => panic!("expected checksum/malformed error, got {other:?}"),
     }
 }
