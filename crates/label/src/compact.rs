@@ -44,7 +44,7 @@
 //! fold and publish can never compact away votes the published model has
 //! not folded.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -311,38 +311,20 @@ pub(crate) fn restore_dedup(snapshot: &ConfidenceSnapshot, capacity: usize) -> D
     dedup
 }
 
-/// Applies one replayed record to the rebuilt state, mirroring what live
-/// ingest did: tracker cell update, then (for keyed votes) the dedup receipt
-/// recorded with exactly the post-apply counts.
-pub(crate) fn apply_replayed(
-    tracker: &mut ConfidenceTracker,
-    dedup: &mut DedupMap,
-    record: &VoteRecord,
-) -> Result<()> {
-    let conf = tracker.apply(record)?;
-    if let Some(key) = record.key() {
-        dedup.insert(
-            key,
-            IngestReceipt {
-                seq: record.seq,
-                example: record.example,
-                worker: record.worker,
-                label: record.label,
-                votes: conf.votes,
-                positive: conf.positive,
-                confidence: conf.confidence,
-            },
-        );
-    }
-    Ok(())
-}
-
 /// Rebuilds `(tracker, dedup)` at `up_to_seq` from the snapshot on disk plus
 /// the given replayed records: snapshot state first, then every record with
 /// `covered_seq < seq <= up_to_seq` in order. The `seq > covered_seq` filter
 /// is load-bearing — surviving segments may still hold records the snapshot
 /// already covers, and re-applying one would roll a last-write-wins cell
 /// back to an older value.
+///
+/// Every record goes through the tracker, but at most `dedup_capacity`
+/// reach the dedup table. It evicts oldest-`seq`-first and the records arrive in `seq`
+/// order, so after the whole window it holds exactly the last occurrences
+/// of the last `dedup_capacity` distinct keys (over any restored snapshot
+/// receipts, which all sit at or below `covered_seq`). A reverse pass picks
+/// those records, and the forward pass inserts only their receipts — each
+/// with the same post-apply counts live ingest recorded.
 pub(crate) fn rebuild_state(
     snapshot: Option<&ConfidenceSnapshot>,
     estimator: ConfidenceEstimator,
@@ -359,9 +341,35 @@ pub(crate) fn rebuild_state(
         Some(s) => restore_dedup(s, dedup_capacity),
         None => DedupMap::new(dedup_capacity),
     };
-    for record in records {
-        if record.seq > covered && record.seq <= up_to_seq {
-            apply_replayed(&mut tracker, &mut dedup, record)?;
+    let window = |record: &VoteRecord| record.seq > covered && record.seq <= up_to_seq;
+    let mut kept = vec![false; records.len()];
+    let mut keys = HashSet::new();
+    for (keep, record) in kept.iter_mut().zip(records).rev() {
+        if keys.len() == dedup_capacity {
+            break;
+        }
+        if let Some(key) = record.key().filter(|_| window(record)) {
+            *keep = keys.insert(key);
+        }
+    }
+    for (&keep, record) in kept.iter().zip(records) {
+        if !window(record) {
+            continue;
+        }
+        let conf = tracker.apply(record)?;
+        if let (true, Some(key)) = (keep, record.key()) {
+            dedup.insert(
+                key,
+                IngestReceipt {
+                    seq: record.seq,
+                    example: record.example,
+                    worker: record.worker,
+                    label: record.label,
+                    votes: conf.votes,
+                    positive: conf.positive,
+                    confidence: conf.confidence,
+                },
+            );
         }
     }
     Ok((tracker, dedup, covered))
@@ -443,4 +451,130 @@ pub fn compact_wal(
     }
     stats.wal_bytes_after = wal_dir_bytes(config)?;
     Ok(stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use rll_crowd::BetaPrior;
+    use rll_tensor::Rng64;
+
+    use super::*;
+
+    const ESTIMATOR: ConfidenceEstimator = ConfidenceEstimator::Bayesian(BetaPrior {
+        alpha: 1.0,
+        beta: 1.0,
+    });
+
+    /// The oracle: every keyed record in `(covered, up_to_seq]` goes through
+    /// the dedup table, as live ingest did.
+    fn forward(
+        snapshot: Option<&ConfidenceSnapshot>,
+        capacity: usize,
+        records: &[VoteRecord],
+        up_to_seq: u64,
+    ) -> (ConfidenceTracker, DedupMap) {
+        let covered = snapshot.map_or(0, |s| s.covered_seq);
+        let mut tracker = match snapshot {
+            Some(s) => restore_tracker(s, ESTIMATOR).unwrap(),
+            None => ConfidenceTracker::new(ESTIMATOR).unwrap(),
+        };
+        let mut dedup = match snapshot {
+            Some(s) => restore_dedup(s, capacity),
+            None => DedupMap::new(capacity),
+        };
+        for record in records {
+            if record.seq <= covered || record.seq > up_to_seq {
+                continue;
+            }
+            let conf = tracker.apply(record).unwrap();
+            if let Some(key) = record.key() {
+                let receipt = IngestReceipt {
+                    seq: record.seq,
+                    example: record.example,
+                    worker: record.worker,
+                    label: record.label,
+                    votes: conf.votes,
+                    positive: conf.positive,
+                    confidence: conf.confidence,
+                };
+                dedup.insert(key, receipt);
+            }
+        }
+        (tracker, dedup)
+    }
+
+    /// Receipts with the confidence as bits, so equality is bitwise.
+    fn entries(dedup: &DedupMap) -> Vec<((u64, u64), [u64; 7])> {
+        dedup
+            .entries()
+            .map(|(key, r)| {
+                let fields = [
+                    r.seq,
+                    r.example,
+                    u64::from(r.worker),
+                    u64::from(r.label),
+                    r.votes,
+                    r.positive,
+                    r.confidence.to_bits(),
+                ];
+                (key, fields)
+            })
+            .collect()
+    }
+
+    /// `n` records at seqs 1..=n: a third unkeyed, a tenth half-keyed, the
+    /// rest keyed from a pool of 24 keys, so keys recur often.
+    fn stream(rng: &mut Rng64, n: usize) -> Vec<VoteRecord> {
+        (1..=n as u64)
+            .map(|seq| {
+                let mut draw = |below: usize| rng.below(below).unwrap() as u64;
+                let (session, request) = match draw(30) {
+                    0..=9 => (None, None),
+                    10 => (Some(draw(3)), None),
+                    11 => (None, Some(draw(8))),
+                    _ => (Some(draw(3)), Some(draw(8))),
+                };
+                VoteRecord {
+                    seq,
+                    example: draw(6),
+                    worker: draw(4) as u32,
+                    label: draw(2) as u8,
+                    session,
+                    request,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tail_rebuilt_dedup_equals_full_forward_insertion() {
+        let mut rng = Rng64::seed_from_u64(0xDED0_7A11);
+        for capacity in [0, 1, 7, 4096] {
+            for _ in 0..60 {
+                let n = rng.below(200).unwrap();
+                let records = stream(&mut rng, n);
+                let covered = rng.below(n + 1).unwrap() as u64;
+                let up_to = covered + rng.below(n + 3 - covered as usize).unwrap() as u64;
+
+                let (full_tracker, full) = forward(None, capacity, &records, up_to);
+                let (_, tail, _) =
+                    rebuild_state(None, ESTIMATOR, capacity, &records, up_to).unwrap();
+                assert_eq!(entries(&tail), entries(&full), "capacity {capacity}");
+
+                // With the state at `covered` restored from a snapshot.
+                let (tracker, dedup) = forward(None, capacity, &records, covered);
+                let snapshot = build_snapshot(&tracker, &dedup, covered);
+                let (_, expected) = forward(Some(&snapshot), capacity, &records, up_to);
+                let (rebuilt, tail, _) =
+                    rebuild_state(Some(&snapshot), ESTIMATOR, capacity, &records, up_to).unwrap();
+                assert_eq!(entries(&tail), entries(&expected), "capacity {capacity}");
+                // Snapshot plus tail is the full log, dedup table included.
+                assert_eq!(entries(&tail), entries(&full), "capacity {capacity}");
+                assert_eq!(
+                    rebuilt.snapshot().unwrap(),
+                    full_tracker.snapshot().unwrap()
+                );
+            }
+        }
+    }
 }

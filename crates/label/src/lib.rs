@@ -50,6 +50,7 @@ pub use retrain::{
 };
 pub use store::{DedupMap, IngestReceipt, LabelStore, LabelStoreConfig, DEFAULT_DEDUP_CAPACITY};
 pub use wal::{
-    compactable_segments, replay_read_only, shard_of, wal_dir_bytes, CompactableSegment,
-    Corruption, CorruptionKind, ShardedWal, Vote, VoteRecord, WalConfig, WalReplay,
+    compactable_segments, decode_record, encode_record, replay_read_only, shard_of, wal_dir_bytes,
+    CompactableSegment, Corruption, CorruptionKind, ShardedWal, Vote, VoteRecord, WalConfig,
+    WalReplay,
 };

@@ -9,8 +9,8 @@
 //!
 //! ```text
 //! {"magic":"RLLWAL","version":1,"shard":0,"segment":0,...}\n
-//! <fnv1a-hex-16> {"seq":1,"example":4,"worker":0,"label":1}\n
-//! <fnv1a-hex-16> {"seq":3,"example":9,"worker":2,"label":0}\n
+//! <fnv1a-hex-16> {"seq":1,"example":3,"worker":0,"label":1,"session":null,"request":null}\n
+//! <fnv1a-hex-16> {"seq":2,"example":5,"worker":1,"label":0,"session":7,"request":1}\n
 //! ```
 //!
 //! Every record line carries its own FNV-1a checksum over the JSON bytes, so
@@ -20,16 +20,34 @@
 //! rotation the segment is *sealed*: atomically rewritten with
 //! `sealed: true`, the final record count, and a whole-payload checksum.
 //!
+//! ## Record grammar
+//!
+//! [`encode_record`] writes, and [`decode_record`] reads, exactly one form:
+//!
+//! ```text
+//! {"seq":U,"example":U,"worker":U32,"label":U8,"session":U|null,"request":U|null}
+//! ```
+//!
+//! with no whitespace, the fields in this order, and every number a decimal
+//! without leading zeros that fits its type. The decoder also accepts the
+//! form written before idempotency keys existed, which ends after `label`
+//! (`{"seq":1,"example":4,"worker":0,"label":1}`); both key halves are then
+//! `None`. Any other line — even one whose checksum matches, such as a
+//! hand-edited `"seq":01` — is a [`CorruptionKind::MalformedRecord`].
+//!
 //! ## Recovery semantics
 //!
 //! [`ShardedWal::open`] replays every shard and repairs in place: the first
 //! bad record in a shard truncates that shard there (the file is atomically
 //! rewritten with the good prefix; later segments are quarantined, never
-//! silently reused). Each repair is reported as a typed [`Corruption`] in
-//! the [`WalReplay`] — recovery degrades, it does not fail. Votes are
-//! assigned one **globally monotone** sequence number under the store's
-//! `wal` lock, so the cross-shard merge by `seq` reproduces the exact
-//! ingestion order deterministically.
+//! silently reused). A sealed segment that lost whole record lines — fewer
+//! verified lines than its header counts, and a payload that fails the
+//! header's checksum — is a truncation point too
+//! ([`CorruptionKind::SealedRecordsMissing`]). Each repair is reported as a
+//! typed [`Corruption`] in the [`WalReplay`] — recovery degrades, it does not
+//! fail. Votes are assigned one **globally monotone** sequence number under
+//! the store's `wal` lock, so the cross-shard merge by `seq` reproduces the
+//! exact ingestion order deterministically.
 
 use std::fs;
 use std::io::Write as _;
@@ -190,8 +208,15 @@ pub enum CorruptionKind {
     /// file's name.
     BadHeader,
     /// A sealed segment's whole-payload checksum or record count disagrees
-    /// with its (individually verified) record lines.
+    /// with its (individually verified) record lines, and no line is known
+    /// lost: the checksum still matches, or the lines number at least the
+    /// header's count. Repair re-seals the segment and replay goes on.
     SealedMetadataMismatch,
+    /// A sealed segment holds fewer verified record lines than its header
+    /// counts, and its payload fails the header's checksum: whole lines were
+    /// lost (a cut at a line boundary). Replay truncates the shard after the
+    /// surviving lines, like any other bad record.
+    SealedRecordsMissing,
     /// A segment index gap: the expected segment file is missing.
     MissingSegment,
     /// The segment was dropped because an earlier segment in its shard was
@@ -282,8 +307,9 @@ impl WalConfig {
     }
 }
 
-/// Append state of one shard.
-#[derive(Debug, Clone)]
+/// Append state of one shard. Replay leaves it at the shard's last live
+/// segment and that segment's record count after repair.
+#[derive(Debug, Clone, Default)]
 struct ShardState {
     /// Index of the active segment, or `None` until the first append.
     active_segment: Option<u64>,
@@ -317,26 +343,7 @@ impl ShardedWal {
     pub fn open(config: WalConfig) -> Result<(ShardedWal, WalReplay)> {
         fs::create_dir_all(&config.dir)
             .map_err(|e| LabelError::io(&config.dir, "create dir", e))?;
-        let replay = replay_dir(&config, true)?;
-        let mut shards = Vec::with_capacity(config.shards.get() as usize);
-        for shard in 0..config.shards.get() {
-            let segs = list_segments(&config, shard)?;
-            match segs.last() {
-                Some(&(segment, _)) => {
-                    let path = config.segment_path(shard, segment);
-                    let bytes = fs::read(&path).map_err(|e| LabelError::io(&path, "read", e))?;
-                    let records = record_lines(&bytes);
-                    shards.push(ShardState {
-                        active_segment: Some(segment),
-                        active_records: records,
-                    });
-                }
-                None => shards.push(ShardState {
-                    active_segment: None,
-                    active_records: 0,
-                }),
-            }
-        }
+        let (replay, shards) = replay_dir(&config, true)?;
         let wal = ShardedWal {
             shards,
             next_seq: replay.high_water + 1,
@@ -406,13 +413,14 @@ impl ShardedWal {
             }
         };
 
-        let line = record_line(&record)?;
+        let mut line = Vec::with_capacity(128);
+        push_record_line(&record, &mut line);
         let path = self.config.segment_path(shard, segment);
         let mut file = fs::OpenOptions::new()
             .append(true)
             .open(&path)
             .map_err(|e| LabelError::io(&path, "append open", e))?;
-        file.write_all(line.as_bytes())
+        file.write_all(&line)
             .map_err(|e| LabelError::io(&path, "append", e))?;
         // Durable-before-acked: the caller only tracks (and responds to) the
         // vote after this fsync, so replay-after-crash is always a superset
@@ -478,42 +486,47 @@ fn record_lines(bytes: &[u8]) -> u64 {
 /// record below an already-observed high-water mark is immutable, and a torn
 /// in-flight tail merely ends the scan of its shard.
 pub fn replay_read_only(config: &WalConfig) -> Result<WalReplay> {
-    replay_dir(config, false)
+    replay_dir(config, false).map(|(replay, _)| replay)
 }
 
-/// Scans all shards, optionally repairing (truncate + quarantine) in place.
-fn replay_dir(config: &WalConfig, repair: bool) -> Result<WalReplay> {
+/// Scans all shards, optionally repairing (truncate + quarantine) in place,
+/// and returns the replay plus each shard's append state after it.
+///
+/// Each shard's records are strictly increasing (`scan_records` enforces
+/// it), so the shard vectors concatenated in shard order are sorted runs: a
+/// stable sort by `seq` merges them, and a duplicate `seq` can only sit in
+/// two adjacent slots, the earlier shard's first.
+fn replay_dir(config: &WalConfig, repair: bool) -> Result<(WalReplay, Vec<ShardState>)> {
     let mut replay = WalReplay::default();
-    let mut merged: std::collections::BTreeMap<u64, VoteRecord> = std::collections::BTreeMap::new();
+    let mut shards = Vec::with_capacity(config.shards.get() as usize);
     for shard in 0..config.shards.get() {
-        let shard_records = replay_shard(config, shard, repair, &mut replay)?;
-        for rec in shard_records {
-            if let Some(previous) = merged.insert(rec.seq, rec) {
-                return Err(LabelError::Corrupt {
-                    reason: format!(
-                        "sequence {} recovered twice (examples {} and {}): cross-shard \
-                         seq assignment must be unique",
-                        rec.seq, previous.example, rec.example
-                    ),
-                });
-            }
-        }
+        shards.push(replay_shard(config, shard, repair, &mut replay)?);
     }
-    replay.high_water = merged.keys().next_back().copied().unwrap_or(0);
-    replay.records = merged.into_values().collect();
-    Ok(replay)
+    replay.records.sort_by_key(|rec| rec.seq);
+    if let Some(pair) = replay.records.windows(2).find(|w| w[0].seq == w[1].seq) {
+        return Err(LabelError::Corrupt {
+            reason: format!(
+                "sequence {} recovered twice (examples {} and {}): cross-shard \
+                 seq assignment must be unique",
+                pair[1].seq, pair[0].example, pair[1].example
+            ),
+        });
+    }
+    replay.high_water = replay.records.last().map_or(0, |rec| rec.seq);
+    Ok((replay, shards))
 }
 
-/// Replays one shard's segment chain in order, stopping (and in repair mode
-/// truncating + quarantining) at the first bad record.
+/// Replays one shard's segment chain in order into `replay.records`,
+/// stopping (and in repair mode truncating + quarantining) at the first bad
+/// record. Returns the shard's last live segment and its record count.
 fn replay_shard(
     config: &WalConfig,
     shard: u32,
     repair: bool,
     replay: &mut WalReplay,
-) -> Result<Vec<VoteRecord>> {
+) -> Result<ShardState> {
     let segments = list_segments(config, shard)?;
-    let mut records: Vec<VoteRecord> = Vec::new();
+    let mut state = ShardState::default();
     let mut last_seq: u64 = 0;
     let mut expected_segment: Option<u64> = None;
     for (idx, &(segment, ref path)) in segments.iter().enumerate() {
@@ -531,17 +544,22 @@ fn replay_shard(
                 if repair {
                     quarantine(shard, &segments[idx..], replay)?;
                 }
-                return Ok(records);
+                return Ok(state);
             }
         }
         expected_segment = Some(segment + 1);
         replay.segments_read += 1;
 
         let scan = scan_segment(path, shard, segment, last_seq)?;
-        records.extend(scan.records.iter().copied());
+        replay.records.extend_from_slice(&scan.records);
         if let Some(last) = scan.records.last() {
             last_seq = last.seq;
         }
+        // Repair leaves exactly the verified records in this segment.
+        state = ShardState {
+            active_segment: Some(segment),
+            active_records: scan.records.len() as u64,
+        };
         if let Some(corruption) = scan.corruption {
             replay.dropped_records += corruption.dropped_records;
             replay.corruptions.push(corruption.clone());
@@ -558,18 +576,18 @@ fn replay_shard(
                         // everything after it in this shard.
                         rewrite_segment(path, shard, segment, &scan.records, false)?;
                         quarantine(shard, &segments[idx + 1..], replay)?;
-                        return Ok(records);
+                        return Ok(state);
                     }
                 }
             } else {
                 match corruption.kind {
                     CorruptionKind::SealedMetadataMismatch => continue,
-                    _ => return Ok(records),
+                    _ => return Ok(state),
                 }
             }
         }
     }
-    Ok(records)
+    Ok(state)
 }
 
 /// Result of scanning one segment file: whether its header opened as
@@ -609,16 +627,21 @@ fn scan_segment(path: &Path, shard: u32, segment: u64, last_seq: u64) -> Result<
         Ok((header, payload)) => {
             let (records, mut corruption) = scan_records(payload, last_seq, &fault);
             let count = records.len() as u64;
-            if corruption.is_none()
-                && header.sealed
-                && (header.records != count || verify_payload(&header, payload).is_err())
-            {
+            if corruption.is_none() && header.sealed {
+                let checksum_ok = verify_payload(&header, payload).is_ok();
                 let detail = format!(
                     "sealed header claims {} records / checksum {:016x}, payload has {count}",
                     header.records, header.payload_fnv1a
                 );
-                let kind = CorruptionKind::SealedMetadataMismatch;
-                corruption = Some(fault(0, kind, detail, 0));
+                corruption = if count < header.records && !checksum_ok {
+                    let (kind, lost) =
+                        (CorruptionKind::SealedRecordsMissing, header.records - count);
+                    Some(fault(count, kind, detail, lost))
+                } else if count != header.records || !checksum_ok {
+                    Some(fault(0, CorruptionKind::SealedMetadataMismatch, detail, 0))
+                } else {
+                    None
+                };
             }
             return Ok(scan(header.sealed, records, corruption));
         }
@@ -669,12 +692,122 @@ fn scan_records(
     (records, None)
 }
 
-/// Renders one `"<fnv1a-hex> <json>\n"` record line.
-fn record_line(record: &VoteRecord) -> Result<String> {
-    let json = serde_json::to_string(record).map_err(|e| LabelError::Corrupt {
-        reason: format!("vote record serialization failed: {e}"),
-    })?;
-    Ok(format!("{:016x} {json}\n", fnv1a(json.as_bytes())))
+/// Appends `record`'s JSON to `out` in the one form the log writes (see the
+/// module doc's record grammar). The bytes equal `serde_json::to_string`'s.
+pub fn encode_record(record: &VoteRecord, out: &mut Vec<u8>) {
+    out.extend_from_slice(b"{\"seq\":");
+    push_uint(out, record.seq);
+    out.extend_from_slice(b",\"example\":");
+    push_uint(out, record.example);
+    out.extend_from_slice(b",\"worker\":");
+    push_uint(out, u64::from(record.worker));
+    out.extend_from_slice(b",\"label\":");
+    push_uint(out, u64::from(record.label));
+    for (name, half) in [
+        (&b",\"session\":"[..], record.session),
+        (b",\"request\":", record.request),
+    ] {
+        out.extend_from_slice(name);
+        match half {
+            Some(value) => push_uint(out, value),
+            None => out.extend_from_slice(b"null"),
+        }
+    }
+    out.push(b'}');
+}
+
+/// Decodes one record's JSON in the module doc's grammar, without
+/// allocating. Anything else is an error naming the byte where decoding
+/// stopped; replay reports it as [`CorruptionKind::MalformedRecord`].
+pub fn decode_record(json: &[u8]) -> std::result::Result<VoteRecord, String> {
+    let mut rest = json;
+    decode_fields(&mut rest).ok_or_else(|| {
+        let at = json.len() - rest.len();
+        format!("not a canonical vote record: decoding stopped at byte {at}")
+    })
+}
+
+/// [`decode_record`]'s grammar, consuming `rest` as it goes.
+fn decode_fields(rest: &mut &[u8]) -> Option<VoteRecord> {
+    let seq = uint_field(rest, b"{\"seq\":")?;
+    let example = uint_field(rest, b",\"example\":")?;
+    let worker = u32::try_from(uint_field(rest, b",\"worker\":")?).ok()?;
+    let label = u8::try_from(uint_field(rest, b",\"label\":")?).ok()?;
+    let (session, request) = if rest.starts_with(b"}") {
+        (None, None)
+    } else {
+        (
+            nullable_field(rest, b",\"session\":")?,
+            nullable_field(rest, b",\"request\":")?,
+        )
+    };
+    *rest = rest.strip_prefix(b"}")?;
+    rest.is_empty().then_some(VoteRecord {
+        seq,
+        example,
+        worker,
+        label,
+        session,
+        request,
+    })
+}
+
+fn uint_field(rest: &mut &[u8], prefix: &[u8]) -> Option<u64> {
+    *rest = rest.strip_prefix(prefix)?;
+    take_uint(rest)
+}
+
+fn nullable_field(rest: &mut &[u8], prefix: &[u8]) -> Option<Option<u64>> {
+    *rest = rest.strip_prefix(prefix)?;
+    match rest.strip_prefix(b"null") {
+        Some(after) => {
+            *rest = after;
+            Some(None)
+        }
+        None => take_uint(rest).map(Some),
+    }
+}
+
+/// Appends `value` in decimal.
+fn push_uint(out: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
+/// Takes a decimal `u64` off the front of `rest`: `0`, or a non-zero digit
+/// and more digits. `None` (leaving `rest` as it was) when there is no
+/// digit, on a leading zero, or on overflow.
+fn take_uint(rest: &mut &[u8]) -> Option<u64> {
+    let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+    if digits == 0 || (digits > 1 && rest[0] == b'0') {
+        return None;
+    }
+    let mut value = 0u64;
+    for &digit in &rest[..digits] {
+        value = value
+            .checked_mul(10)?
+            .checked_add(u64::from(digit - b'0'))?;
+    }
+    *rest = &rest[digits..];
+    Some(value)
+}
+
+/// Appends one `"<fnv1a-hex> <json>\n"` record line to `out`.
+fn push_record_line(record: &VoteRecord, out: &mut Vec<u8>) {
+    let mut json = Vec::with_capacity(96);
+    encode_record(record, &mut json);
+    out.extend_from_slice(format!("{:016x} ", fnv1a(&json)).as_bytes());
+    out.extend_from_slice(&json);
+    out.push(b'\n');
 }
 
 /// Parses one `"<fnv1a-hex> <json>"` record line.
@@ -700,8 +833,7 @@ fn parse_record_line(line: &[u8]) -> std::result::Result<VoteRecord, (Corruption
             format!("expected {expected:016x}, computed {actual:016x}"),
         ));
     }
-    serde_json::from_str::<VoteRecord>(json)
-        .map_err(|e| (CorruptionKind::MalformedRecord, format!("bad record: {e}")))
+    decode_record(json.as_bytes()).map_err(|detail| (CorruptionKind::MalformedRecord, detail))
 }
 
 /// Atomically rewrites a segment as header + the given verified records.
@@ -712,16 +844,16 @@ fn rewrite_segment(
     records: &[VoteRecord],
     sealed: bool,
 ) -> Result<()> {
-    let payload = records
-        .iter()
-        .map(record_line)
-        .collect::<Result<String>>()?;
+    let mut payload = Vec::with_capacity(records.len() * 96);
+    for record in records {
+        push_record_line(record, &mut payload);
+    }
     let mut header = SegmentHeader::open(shard, segment, records.first().map_or(0, |r| r.seq));
     if sealed {
         header.sealed = true;
         header.records = records.len() as u64;
     }
-    write_segment(path, header, payload.as_bytes(), "rewrite")
+    write_segment(path, header, &payload, "rewrite")
 }
 
 /// Renames dropped segments out of the chain so replay never resurrects

@@ -14,7 +14,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use rll_label::{
-    read_snapshot, replay_read_only, write_snapshot, LabelError, ShardedWal, Vote, WalConfig,
+    read_snapshot, replay_read_only, write_snapshot, CorruptionKind, LabelError, ShardedWal, Vote,
+    WalConfig,
 };
 use rll_tensor::Rng64;
 
@@ -95,10 +96,16 @@ fn segment_fixtures_open_and_keep_their_bytes() {
     for (name, fixture) in [SEALED, UNSEALED] {
         assert_eq!(fs::read(dir.join(name)).unwrap(), fixture, "{name}");
     }
-    // The reopened WAL continues the open segment where it stopped.
+    // The reopened WAL continues the open segment where it stopped, and
+    // rotates once it holds four records.
     wal.append(Vote::new(2, 0, 0)).unwrap();
     let grown = fs::read(dir.join(UNSEALED.0)).unwrap();
     assert!(grown.starts_with(UNSEALED.1));
+    assert!(!dir.join("shard0000-seg00000002.rllwal").exists());
+    wal.append(Vote::new(2, 1, 0)).unwrap();
+    assert!(!dir.join("shard0000-seg00000002.rllwal").exists());
+    wal.append(Vote::new(2, 2, 0)).unwrap();
+    assert!(dir.join("shard0000-seg00000002.rllwal").exists());
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -148,19 +155,69 @@ fn segment_decoder_survives_cuts_and_bit_flips() {
     for (seed, (name, fixture)) in [(0x5EA1_0004, SEALED), (0x5EA1_0005, UNSEALED)] {
         for bytes in mutations(fixture, seed) {
             fs::write(dir.join(name), &bytes).unwrap();
-            // Per-record checksums reject every damaged line, so whatever
-            // survives is clean records in log order. (Not always a prefix:
-            // a sealed segment cut at a line boundary is reported as
-            // `SealedMetadataMismatch` and the scan goes on to segment 1.)
+            // Per-record checksums reject every damaged line, and a sealed
+            // segment that lost whole lines truncates the shard, so whatever
+            // survives is a prefix of the log.
             let replay = replay_read_only(&config).unwrap();
-            let mut clean = clean_log.iter();
-            assert!(
-                replay.records.iter().all(|r| clean.any(|c| c == r)),
+            assert_eq!(
+                replay.records,
+                clean_log[..replay.records.len()],
                 "{name}: recovered {:?}",
                 replay.records
             );
         }
         fs::write(dir.join(name), fixture).unwrap();
     }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn sealed_segment_cut_after_two_lines_truncates_the_shard() {
+    let dir = fresh_dir("sealed_cut");
+    let config = wal_config(&dir);
+    write_segment_fixtures(&dir);
+    let clean_log = replay_read_only(&config).unwrap().records;
+    // Keep the header line and the first two record lines: a cut at a line
+    // boundary, so every surviving line still verifies.
+    let (name, sealed) = SEALED;
+    let cut = sealed
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b == b'\n')
+        .nth(2)
+        .map(|(at, _)| at + 1)
+        .unwrap();
+    fs::write(dir.join(name), &sealed[..cut]).unwrap();
+
+    let (_, repaired) = ShardedWal::open(config.clone()).unwrap();
+    assert_eq!(repaired.records, clean_log[..2]);
+    let kinds: Vec<CorruptionKind> = repaired.corruptions.iter().map(|c| c.kind).collect();
+    assert_eq!(
+        kinds,
+        [
+            CorruptionKind::SealedRecordsMissing,
+            CorruptionKind::Quarantined
+        ]
+    );
+    assert_eq!(repaired.corruptions[0].record_index, 2);
+    // Seqs 3-4 were lost with the cut; 5-6 sit in the quarantined segment.
+    assert_eq!(repaired.dropped_records, 4);
+    assert!(dir.join(format!("{}.quarantined", UNSEALED.0)).exists());
+
+    // The repaired log replays the same, with nothing left to repair.
+    let (mut wal, again) = ShardedWal::open(config.clone()).unwrap();
+    assert_eq!(again.records, repaired.records);
+    assert!(again.corruptions.is_empty(), "{:?}", again.corruptions);
+    // Appends go on from seq 3 in the truncated segment, which rotates once
+    // it holds four records again.
+    for vote in [Vote::new(1, 0, 0), Vote::new(1, 1, 0), Vote::new(1, 2, 0)] {
+        wal.append(vote).unwrap();
+    }
+    let grown = replay_read_only(&config).unwrap();
+    assert!(grown.corruptions.is_empty(), "{:?}", grown.corruptions);
+    let seqs: Vec<u64> = grown.records.iter().map(|r| r.seq).collect();
+    assert_eq!(seqs, [1, 2, 3, 4, 5]);
+    let sealed_again = fs::read(dir.join(name)).unwrap();
+    assert!(String::from_utf8_lossy(&sealed_again).contains(r#""sealed":true,"records":4"#));
     fs::remove_dir_all(&dir).unwrap();
 }
