@@ -15,7 +15,8 @@
 //!
 //! [`open_header`] is steps 1–2 and [`verify_payload`] step 3, for the WAL:
 //! an open segment has no checksum, and a sealed one is checked after its
-//! record lines. [`atomic_write`] is the crash-safe writer for all four.
+//! record lines, against the hash the scan of those lines took.
+//! [`atomic_write`] is the crash-safe writer for all four.
 
 use rll_tensor::hash::fnv1a;
 use serde::{Deserialize, Serialize};
@@ -139,12 +140,17 @@ pub fn open_header<H: SealedHeader>(bytes: &[u8]) -> Result<(H, &[u8]), Snapshot
     Ok((header, &bytes[newline + 1..]))
 }
 
-/// Step 3 of [`open`]: the payload's length (when recorded) and FNV-1a
-/// checksum must be what the header promises.
-pub fn verify_payload<H: SealedHeader>(header: &H, payload: &[u8]) -> Result<(), SnapshotError> {
+/// Step 3 of [`open`]: the payload's byte length (when recorded) and FNV-1a
+/// checksum, as the caller measured them, must be what the header promises.
+/// The caller hashes, so a reader that walks the payload anyway (the WAL
+/// scan) can hash it on the same pass.
+pub fn verify_payload<H: SealedHeader>(
+    header: &H,
+    payload_len: u64,
+    actual: u64,
+) -> Result<(), SnapshotError> {
     let (len, expected) = header.promised();
-    let actual = fnv1a(payload);
-    if len.is_some_and(|len| len != payload.len() as u64) || actual != expected {
+    if len.is_some_and(|len| len != payload_len) || actual != expected {
         return Err(SnapshotError::Checksum { expected, actual });
     }
     Ok(())
@@ -154,7 +160,7 @@ pub fn verify_payload<H: SealedHeader>(header: &H, payload: &[u8]) -> Result<(),
 /// payload parsed as JSON straight from `bytes`.
 pub fn open<H: SealedHeader, P: Deserialize>(bytes: &[u8]) -> Result<(H, P), SnapshotError> {
     let (header, payload) = open_header::<H>(bytes)?;
-    verify_payload(&header, payload)?;
+    verify_payload(&header, payload.len() as u64, fnv1a(payload))?;
     let payload_str =
         std::str::from_utf8(payload).map_err(|_| malformed("payload is not UTF-8"))?;
     let payload = serde_json::from_str(payload_str)

@@ -9,6 +9,7 @@
 //! 2 000 seeded single-bit flips of it must then decode to a typed error or
 //! a valid state, never a panic.
 
+use rll_core::snapshot::SnapshotError;
 use rll_core::{RllError, TrainState};
 use rll_tensor::Rng64;
 
@@ -54,4 +55,24 @@ fn state_decoder_survives_cuts_and_bit_flips() {
     }
     // Every cut is short of the payload length the header promises.
     assert!(err >= FIXTURE.len(), "{err} errors, {ok} accepted");
+}
+
+#[test]
+fn seed_with_a_leading_zero_is_malformed() {
+    // `"seed":21` → `"seed":01` is one bit in the header, which no checksum
+    // covers. A leading zero is not JSON, so the header fails to parse
+    // instead of resuming as seed 1.
+    let seed = FIXTURE
+        .windows(9)
+        .position(|w| w == b"\"seed\":21")
+        .unwrap();
+    let mut flipped = FIXTURE.to_vec();
+    flipped[seed + 7] ^= b'2' ^ b'0';
+    assert!(flipped.windows(9).any(|w| w == b"\"seed\":01"));
+    match TrainState::from_bytes(&flipped) {
+        Err(RllError::Snapshot(SnapshotError::Malformed { reason })) => {
+            assert!(reason.contains("invalid number `01`"), "{reason}")
+        }
+        other => panic!("expected a malformed header, got {other:?}"),
+    }
 }

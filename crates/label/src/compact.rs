@@ -52,7 +52,7 @@ use rll_core::snapshot::{atomic_write, open, seal, SealedHeader};
 use rll_crowd::ConfidenceEstimator;
 use serde::{Deserialize, Serialize};
 
-use crate::confidence::ConfidenceTracker;
+use crate::confidence::{ConfidenceTracker, ExampleVotes};
 use crate::error::{LabelError, Result};
 use crate::store::{DedupMap, IngestReceipt};
 use crate::wal::{compactable_segments, replay_read_only, wal_dir_bytes, VoteRecord, WalConfig};
@@ -241,11 +241,11 @@ pub fn build_snapshot(
     covered_seq: u64,
 ) -> ConfidenceSnapshot {
     let mut examples = Vec::with_capacity(tracker.table.len());
-    for (&example, workers) in &tracker.table {
+    for (&example, entry) in &tracker.table {
         examples.push(SnapshotExample {
             example,
-            last_seq: tracker.last_seq.get(&example).copied().unwrap_or(0),
-            votes: workers.iter().map(|(&w, &l)| (w, l)).collect(),
+            last_seq: entry.last_seq,
+            votes: entry.workers.iter().map(|(&w, &l)| (w, l)).collect(),
         });
     }
     let receipts = dedup
@@ -295,8 +295,11 @@ pub fn restore_tracker(
             }
             workers.insert(worker, label);
         }
-        tracker.table.insert(ex.example, workers);
-        tracker.last_seq.insert(ex.example, ex.last_seq);
+        let entry = ExampleVotes {
+            last_seq: ex.last_seq,
+            workers,
+        };
+        tracker.table.insert(ex.example, entry);
     }
     tracker.applied_seq = snapshot.applied_seq;
     Ok(tracker)
@@ -318,13 +321,14 @@ pub(crate) fn restore_dedup(snapshot: &ConfidenceSnapshot, capacity: usize) -> D
 /// already covers, and re-applying one would roll a last-write-wins cell
 /// back to an older value.
 ///
-/// Every record goes through the tracker, but at most `dedup_capacity`
+/// Every record sets its cell in the tracker, but at most `dedup_capacity`
 /// reach the dedup table. It evicts oldest-`seq`-first and the records arrive in `seq`
 /// order, so after the whole window it holds exactly the last occurrences
 /// of the last `dedup_capacity` distinct keys (over any restored snapshot
 /// receipts, which all sit at or below `covered_seq`). A reverse pass picks
-/// those records, and the forward pass inserts only their receipts — each
-/// with the same post-apply counts live ingest recorded.
+/// those records, and the forward pass estimates a confidence for, and
+/// inserts, only their receipts — each with the same post-apply counts live
+/// ingest recorded.
 pub(crate) fn rebuild_state(
     snapshot: Option<&ConfidenceSnapshot>,
     estimator: ConfidenceEstimator,
@@ -356,20 +360,10 @@ pub(crate) fn rebuild_state(
         if !window(record) {
             continue;
         }
-        let conf = tracker.apply(record)?;
+        let entry = tracker.set_cell(record)?;
         if let (true, Some(key)) = (keep, record.key()) {
-            dedup.insert(
-                key,
-                IngestReceipt {
-                    seq: record.seq,
-                    example: record.example,
-                    worker: record.worker,
-                    label: record.label,
-                    votes: conf.votes,
-                    positive: conf.positive,
-                    confidence: conf.confidence,
-                },
-            );
+            let conf = entry.confidence(record.example, estimator)?;
+            dedup.insert(key, IngestReceipt::new(record, conf));
         }
     }
     Ok((tracker, dedup, covered))
@@ -546,6 +540,25 @@ mod tests {
             .collect()
     }
 
+    /// The tracker's `/labels` JSON and the sealed compaction snapshot of
+    /// `(tracker, dedup)` covering `covered`, as bytes.
+    fn state_bytes(tracker: &ConfidenceTracker, dedup: &DedupMap, covered: u64) -> [Vec<u8>; 2] {
+        let labels = serde_json::to_string(&tracker.snapshot().unwrap()).unwrap();
+        let header = SnapshotHeader {
+            magic: SNAPSHOT_MAGIC.to_string(),
+            version: SNAPSHOT_VERSION,
+            covered_seq: covered,
+            payload_fnv1a: 0,
+        };
+        let sealed = seal(header, &build_snapshot(tracker, dedup, covered)).unwrap();
+        [labels.into_bytes(), sealed]
+    }
+
+    /// `rebuild_state` gives, bit for bit, what applying every record in the
+    /// window through `ConfidenceTracker::apply` and the dedup table gives:
+    /// `/labels` JSON, sealed compaction snapshot and every receipt. The
+    /// streams reuse cells, flip labels and mix keyed, unkeyed and
+    /// half-keyed records.
     #[test]
     fn tail_rebuilt_dedup_equals_full_forward_insertion() {
         let mut rng = Rng64::seed_from_u64(0xDED0_7A11);
@@ -557,23 +570,26 @@ mod tests {
                 let up_to = covered + rng.below(n + 3 - covered as usize).unwrap() as u64;
 
                 let (full_tracker, full) = forward(None, capacity, &records, up_to);
-                let (_, tail, _) =
-                    rebuild_state(None, ESTIMATOR, capacity, &records, up_to).unwrap();
-                assert_eq!(entries(&tail), entries(&full), "capacity {capacity}");
-
                 // With the state at `covered` restored from a snapshot.
                 let (tracker, dedup) = forward(None, capacity, &records, covered);
                 let snapshot = build_snapshot(&tracker, &dedup, covered);
-                let (_, expected) = forward(Some(&snapshot), capacity, &records, up_to);
-                let (rebuilt, tail, _) =
-                    rebuild_state(Some(&snapshot), ESTIMATOR, capacity, &records, up_to).unwrap();
-                assert_eq!(entries(&tail), entries(&expected), "capacity {capacity}");
+                let (tail_tracker, tail) = forward(Some(&snapshot), capacity, &records, up_to);
+                let full_bytes = state_bytes(&full_tracker, &full, up_to);
+                // Each voted example's last seq is its latest record's.
+                for ex in full_tracker.snapshot().unwrap().examples {
+                    let latest = records.iter().filter(|r| r.example == ex.example);
+                    let latest = latest.map(|r| r.seq).filter(|&seq| seq <= up_to).max();
+                    assert_eq!(Some(ex.last_seq), latest);
+                }
                 // Snapshot plus tail is the full log, dedup table included.
                 assert_eq!(entries(&tail), entries(&full), "capacity {capacity}");
-                assert_eq!(
-                    rebuilt.snapshot().unwrap(),
-                    full_tracker.snapshot().unwrap()
-                );
+                assert_eq!(state_bytes(&tail_tracker, &tail, up_to), full_bytes);
+                for restored in [None, Some(&snapshot)] {
+                    let (rebuilt, dedup, _) =
+                        rebuild_state(restored, ESTIMATOR, capacity, &records, up_to).unwrap();
+                    assert_eq!(entries(&dedup), entries(&full), "capacity {capacity}");
+                    assert_eq!(state_bytes(&rebuilt, &dedup, up_to), full_bytes);
+                }
             }
         }
     }

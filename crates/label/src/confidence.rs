@@ -56,17 +56,43 @@ pub struct LabelsSnapshot {
     pub examples: Vec<ExampleConfidence>,
 }
 
+/// One example's entry in the tracker: its vote cells and the largest
+/// sequence number that touched it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ExampleVotes {
+    pub(crate) last_seq: u64,
+    /// worker → label.
+    pub(crate) workers: BTreeMap<u32, u8>,
+}
+
+impl ExampleVotes {
+    /// The example's confidence under `estimator`.
+    pub(crate) fn confidence(
+        &self,
+        example: u64,
+        estimator: ConfidenceEstimator,
+    ) -> Result<ExampleConfidence> {
+        let total = self.workers.len();
+        let positive = self.workers.values().filter(|&&l| l == 1).count();
+        Ok(ExampleConfidence {
+            example,
+            votes: total as u64,
+            positive: positive as u64,
+            confidence: estimator.positiveness(positive, total)?,
+            last_seq: self.last_seq,
+        })
+    }
+}
+
 /// Incrementally maintained vote table + confidence view.
 #[derive(Debug, Clone)]
 pub struct ConfidenceTracker {
     estimator: ConfidenceEstimator,
-    /// example → (worker → label); BTreeMaps keep every derived view (and
-    /// the snapshot serialization) deterministic. Crate-visible so the
-    /// compaction codec ([`crate::compact`]) can export/restore the exact
-    /// cell state without an intermediate copy.
-    pub(crate) table: BTreeMap<u64, BTreeMap<u32, u8>>,
-    /// example → largest seq that touched it.
-    pub(crate) last_seq: BTreeMap<u64, u64>,
+    /// example → its cells and last seq: one lookup per vote. BTreeMaps keep
+    /// every derived view (and the snapshot serialization) deterministic;
+    /// crate-visible so the compaction codec ([`crate::compact`]) can
+    /// export/restore the exact cell state without an intermediate copy.
+    pub(crate) table: BTreeMap<u64, ExampleVotes>,
     pub(crate) applied_seq: u64,
 }
 
@@ -91,7 +117,6 @@ impl ConfidenceTracker {
         Ok(ConfidenceTracker {
             estimator,
             table: BTreeMap::new(),
-            last_seq: BTreeMap::new(),
             applied_seq: 0,
         })
     }
@@ -108,7 +133,7 @@ impl ConfidenceTracker {
 
     /// Current (example, worker) cell count.
     pub fn vote_cells(&self) -> u64 {
-        self.table.values().map(|w| w.len() as u64).sum()
+        self.table.values().map(|v| v.workers.len() as u64).sum()
     }
 
     /// Examples with at least one vote.
@@ -120,39 +145,33 @@ impl ConfidenceTracker {
     /// confidence. Last-write-wins per (example, worker): re-applying a
     /// record is a no-op, which makes WAL replay idempotent.
     pub fn apply(&mut self, record: &VoteRecord) -> Result<ExampleConfidence> {
+        let estimator = self.estimator;
+        self.set_cell(record)?.confidence(record.example, estimator)
+    }
+
+    /// [`ConfidenceTracker::apply`] without the confidence: sets the cell,
+    /// raises the example's and the tracker's last seq, and returns the
+    /// example's entry. Replay runs this for every record and estimates only
+    /// the receipts it keeps.
+    pub(crate) fn set_cell(&mut self, record: &VoteRecord) -> Result<&ExampleVotes> {
         if record.label > 1 {
             return Err(LabelError::InvalidVote {
                 reason: format!("label {} is not binary", record.label),
             });
         }
-        self.table
-            .entry(record.example)
-            .or_default()
-            .insert(record.worker, record.label);
-        let last = self.last_seq.entry(record.example).or_insert(0);
-        *last = (*last).max(record.seq);
         self.applied_seq = self.applied_seq.max(record.seq);
-        self.confidence(record.example)?
-            .ok_or_else(|| LabelError::Corrupt {
-                reason: format!("vote for example {} vanished mid-apply", record.example),
-            })
+        let entry = self.table.entry(record.example).or_default();
+        entry.workers.insert(record.worker, record.label);
+        entry.last_seq = entry.last_seq.max(record.seq);
+        Ok(entry)
     }
 
     /// The example's current confidence, or `None` if it has no votes.
     pub fn confidence(&self, example: u64) -> Result<Option<ExampleConfidence>> {
-        let Some(workers) = self.table.get(&example) else {
-            return Ok(None);
-        };
-        let total = workers.len();
-        let positive = workers.values().filter(|&&l| l == 1).count();
-        let confidence = self.estimator.positiveness(positive, total)?;
-        Ok(Some(ExampleConfidence {
-            example,
-            votes: total as u64,
-            positive: positive as u64,
-            confidence,
-            last_seq: self.last_seq.get(&example).copied().unwrap_or(0),
-        }))
+        self.table
+            .get(&example)
+            .map(|votes| votes.confidence(example, self.estimator))
+            .transpose()
     }
 
     /// Mean confidence over voted examples; `0.0` when none (never NaN).
@@ -161,10 +180,8 @@ impl ConfidenceTracker {
             return Ok(0.0);
         }
         let mut sum = 0.0;
-        for &example in self.table.keys() {
-            if let Some(conf) = self.confidence(example)? {
-                sum += conf.confidence;
-            }
+        for (&example, votes) in &self.table {
+            sum += votes.confidence(example, self.estimator)?.confidence;
         }
         Ok(sum / self.table.len() as f64)
     }
@@ -172,10 +189,8 @@ impl ConfidenceTracker {
     /// Deterministic full snapshot (the `GET /labels` body).
     pub fn snapshot(&self) -> Result<LabelsSnapshot> {
         let mut examples = Vec::with_capacity(self.table.len());
-        for &example in self.table.keys() {
-            if let Some(conf) = self.confidence(example)? {
-                examples.push(conf);
-            }
+        for (&example, votes) in &self.table {
+            examples.push(votes.confidence(example, self.estimator)?);
         }
         Ok(LabelsSnapshot {
             schema: LABELS_SCHEMA.to_string(),
@@ -218,7 +233,7 @@ impl ConfidenceTracker {
                 }
             }
         }
-        for (&example, workers) in &self.table {
+        for (&example, votes) in &self.table {
             let item = example as usize;
             if item >= base.num_items() {
                 return Err(LabelError::InvalidVote {
@@ -228,7 +243,7 @@ impl ConfidenceTracker {
                     ),
                 });
             }
-            for (&worker, &label) in workers {
+            for (&worker, &label) in &votes.workers {
                 if (worker as usize) >= max_workers as usize {
                     return Err(LabelError::InvalidVote {
                         reason: format!("worker {worker} outside the {max_workers}-worker budget"),
@@ -248,25 +263,8 @@ impl ConfidenceTracker {
     /// over the *live* annotators only, from which per-worker quality is
     /// derived.
     pub fn live_matrix(&self, num_examples: u64, max_workers: u32) -> Result<AnnotationMatrix> {
-        let mut live = AnnotationMatrix::new(num_examples as usize, max_workers as usize, 2)
-            .map_err(LabelError::Confidence)?;
-        for (&example, workers) in &self.table {
-            if example >= num_examples {
-                return Err(LabelError::InvalidVote {
-                    reason: format!(
-                        "vote for example {example} outside the {num_examples}-item dataset"
-                    ),
-                });
-            }
-            for (&worker, &label) in workers {
-                if worker >= max_workers {
-                    return Err(LabelError::InvalidVote {
-                        reason: format!("worker {worker} outside the {max_workers}-worker budget"),
-                    });
-                }
-                live.set(example as usize, worker as usize, label)?;
-            }
-        }
-        Ok(live)
+        let no_base =
+            AnnotationMatrix::new(num_examples as usize, 0, 2).map_err(LabelError::Confidence)?;
+        self.fold_into_filtered(&no_base, max_workers, &[])
     }
 }

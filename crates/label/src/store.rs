@@ -45,7 +45,7 @@ use crate::compact::{
 use crate::confidence::{ConfidenceTracker, ExampleConfidence, LabelsSnapshot};
 use crate::error::{LabelError, Result};
 use crate::retrain::read_manifest;
-use crate::wal::{replay_read_only, wal_dir_bytes, ShardedWal, Vote, WalConfig};
+use crate::wal::{replay_read_only, wal_dir_bytes, ShardedWal, Vote, VoteRecord, WalConfig};
 
 /// Default capacity of the idempotency receipt table.
 pub const DEFAULT_DEDUP_CAPACITY: usize = 4096;
@@ -98,6 +98,21 @@ pub struct IngestReceipt {
     pub positive: u64,
     /// Updated confidence δ.
     pub confidence: f64,
+}
+
+impl IngestReceipt {
+    /// The receipt for `record`, given its example's confidence after it.
+    pub(crate) fn new(record: &VoteRecord, conf: ExampleConfidence) -> IngestReceipt {
+        IngestReceipt {
+            seq: record.seq,
+            example: record.example,
+            worker: record.worker,
+            label: record.label,
+            votes: conf.votes,
+            positive: conf.positive,
+            confidence: conf.confidence,
+        }
+    }
 }
 
 /// Bounded `(session, request) → receipt` table. Deterministic: eviction is
@@ -247,47 +262,30 @@ impl LabelStore {
     /// its vote. The `dedup` lock (rank 55) is held across the whole keyed
     /// path; `wal` (60) and `votes` (70) nest under it in rank order.
     pub fn ingest(&self, vote: Vote) -> Result<IngestReceipt> {
-        if vote.example >= self.config.num_examples {
+        let reject = |reason: String| {
             self.recorder
                 .metrics()
                 .counter("label.votes.rejected")
                 .inc();
-            return Err(LabelError::InvalidVote {
-                reason: format!(
-                    "example {} outside the {}-item dataset",
-                    vote.example, self.config.num_examples
-                ),
-            });
+            Err(LabelError::InvalidVote { reason })
+        };
+        if vote.example >= self.config.num_examples {
+            return reject(format!(
+                "example {} outside the {}-item dataset",
+                vote.example, self.config.num_examples
+            ));
         }
         if vote.worker >= self.config.max_workers {
-            self.recorder
-                .metrics()
-                .counter("label.votes.rejected")
-                .inc();
-            return Err(LabelError::InvalidVote {
-                reason: format!(
-                    "worker {} outside the {}-worker budget",
-                    vote.worker, self.config.max_workers
-                ),
-            });
+            return reject(format!(
+                "worker {} outside the {}-worker budget",
+                vote.worker, self.config.max_workers
+            ));
         }
         if vote.label > 1 {
-            self.recorder
-                .metrics()
-                .counter("label.votes.rejected")
-                .inc();
-            return Err(LabelError::InvalidVote {
-                reason: format!("label {} is not binary", vote.label),
-            });
+            return reject(format!("label {} is not binary", vote.label));
         }
         if vote.session.is_some() != vote.request.is_some() {
-            self.recorder
-                .metrics()
-                .counter("label.votes.rejected")
-                .inc();
-            return Err(LabelError::InvalidVote {
-                reason: "idempotency key needs both session and request".into(),
-            });
+            return reject("idempotency key needs both session and request".into());
         }
 
         let mut dedup_guard = match vote.key() {
@@ -300,16 +298,10 @@ impl LabelStore {
                     || original.worker != vote.worker
                     || original.label != vote.label
                 {
-                    self.recorder
-                        .metrics()
-                        .counter("label.votes.rejected")
-                        .inc();
-                    return Err(LabelError::InvalidVote {
-                        reason: format!(
-                            "idempotency key ({}, {}) was already used for a different vote",
-                            key.0, key.1
-                        ),
-                    });
+                    return reject(format!(
+                        "idempotency key ({}, {}) was already used for a different vote",
+                        key.0, key.1
+                    ));
                 }
                 self.recorder.metrics().counter("label.votes.deduped").inc();
                 return Ok(*original);
@@ -318,15 +310,7 @@ impl LabelStore {
 
         let record = self.wal.lock().append(vote)?;
         let conf = self.votes.lock().apply(&record)?;
-        let receipt = IngestReceipt {
-            seq: record.seq,
-            example: record.example,
-            worker: record.worker,
-            label: record.label,
-            votes: conf.votes,
-            positive: conf.positive,
-            confidence: conf.confidence,
-        };
+        let receipt = IngestReceipt::new(&record, conf);
         if let (Some(key), Some(guard)) = (vote.key(), dedup_guard.as_mut()) {
             guard.insert(key, receipt);
         }

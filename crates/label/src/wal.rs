@@ -20,6 +20,12 @@
 //! rotation the segment is *sealed*: atomically rewritten with
 //! `sealed: true`, the final record count, and a whole-payload checksum.
 //!
+//! Replay verifies both checksums in one pass: one loop feeds each line's
+//! JSON to its own hash and every payload byte to the whole-payload hash.
+//! The verdicts keep their order: per line UTF-8, separator, checksum
+//! literal, line checksum, decode, climbing `seq`; after a sealed segment's
+//! last line, the whole-payload checksum.
+//!
 //! ## Record grammar
 //!
 //! [`encode_record`] writes, and [`decode_record`] reads, exactly one form:
@@ -55,7 +61,7 @@ use std::num::{NonZeroU32, NonZeroU64};
 use std::path::{Path, PathBuf};
 
 use rll_core::snapshot::{atomic_write, open_header, seal_bytes, verify_payload, SealedHeader};
-use rll_tensor::hash::fnv1a;
+use rll_tensor::hash::{fnv1a, Fnv1a};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{LabelError, Result};
@@ -550,56 +556,55 @@ fn replay_shard(
         expected_segment = Some(segment + 1);
         replay.segments_read += 1;
 
-        let scan = scan_segment(path, shard, segment, last_seq)?;
-        replay.records.extend_from_slice(&scan.records);
-        if let Some(last) = scan.records.last() {
+        let start = replay.records.len();
+        let scan = scan_segment(path, shard, segment, last_seq, &mut replay.records)?;
+        let verified = &replay.records[start..];
+        if let Some(last) = verified.last() {
             last_seq = last.seq;
         }
         // Repair leaves exactly the verified records in this segment.
         state = ShardState {
             active_segment: Some(segment),
-            active_records: scan.records.len() as u64,
+            active_records: verified.len() as u64,
         };
         if let Some(corruption) = scan.corruption {
             replay.dropped_records += corruption.dropped_records;
-            replay.corruptions.push(corruption.clone());
+            // A metadata-only fault leaves every record line verified: repair
+            // re-seals the segment with corrected metadata and the scan goes
+            // on. Any other fault truncates the segment to its good prefix
+            // and drops everything after it in this shard.
+            let metadata_only = corruption.kind == CorruptionKind::SealedMetadataMismatch;
+            replay.corruptions.push(corruption);
             if repair {
-                match corruption.kind {
-                    // Metadata-only fault with every record line verified:
-                    // re-seal with corrected metadata, keep scanning.
-                    CorruptionKind::SealedMetadataMismatch => {
-                        rewrite_segment(path, shard, segment, &scan.records, true)?;
-                        continue;
-                    }
-                    _ => {
-                        // Truncate this segment to its good prefix and drop
-                        // everything after it in this shard.
-                        rewrite_segment(path, shard, segment, &scan.records, false)?;
-                        quarantine(shard, &segments[idx + 1..], replay)?;
-                        return Ok(state);
-                    }
+                let verified = &replay.records[start..];
+                rewrite_segment(path, shard, segment, verified, metadata_only)?;
+                if !metadata_only {
+                    quarantine(shard, &segments[idx + 1..], replay)?;
                 }
-            } else {
-                match corruption.kind {
-                    CorruptionKind::SealedMetadataMismatch => continue,
-                    _ => return Ok(state),
-                }
+            }
+            if !metadata_only {
+                return Ok(state);
             }
         }
     }
     Ok(state)
 }
 
-/// Result of scanning one segment file: whether its header opened as
-/// sealed, its byte length, the verified record prefix, and the first fault.
+/// Result of scanning one segment file (its verified records went onto the
+/// caller's vector): sealed or not, its byte length, and the first fault.
 struct SegmentScan {
     sealed: bool,
     bytes: u64,
-    records: Vec<VoteRecord>,
     corruption: Option<Corruption>,
 }
 
-fn scan_segment(path: &Path, shard: u32, segment: u64, last_seq: u64) -> Result<SegmentScan> {
+fn scan_segment(
+    path: &Path,
+    shard: u32,
+    segment: u64,
+    last_seq: u64,
+    records: &mut Vec<VoteRecord>,
+) -> Result<SegmentScan> {
     let bytes = fs::read(path).map_err(|e| LabelError::io(path, "read", e))?;
     let fault = |index: u64, kind: CorruptionKind, detail: String, dropped: u64| Corruption {
         shard,
@@ -610,10 +615,9 @@ fn scan_segment(path: &Path, shard: u32, segment: u64, last_seq: u64) -> Result<
         detail,
         dropped_records: dropped,
     };
-    let scan = |sealed, records, corruption| SegmentScan {
+    let scan = |sealed, corruption| SegmentScan {
         sealed,
         bytes: bytes.len() as u64,
-        records,
         corruption,
     };
 
@@ -625,10 +629,12 @@ fn scan_segment(path: &Path, shard: u32, segment: u64, last_seq: u64) -> Result<
             path.display()
         ),
         Ok((header, payload)) => {
-            let (records, mut corruption) = scan_records(payload, last_seq, &fault);
-            let count = records.len() as u64;
+            let start = records.len();
+            let (payload_fnv1a, mut corruption) = scan_records(payload, last_seq, records, &fault);
+            let count = (records.len() - start) as u64;
             if corruption.is_none() && header.sealed {
-                let checksum_ok = verify_payload(&header, payload).is_ok();
+                let checksum_ok =
+                    verify_payload(&header, payload.len() as u64, payload_fnv1a).is_ok();
                 let detail = format!(
                     "sealed header claims {} records / checksum {:016x}, payload has {count}",
                     header.records, header.payload_fnv1a
@@ -643,22 +649,27 @@ fn scan_segment(path: &Path, shard: u32, segment: u64, last_seq: u64) -> Result<
                     None
                 };
             }
-            return Ok(scan(header.sealed, records, corruption));
+            return Ok(scan(header.sealed, corruption));
         }
         Err(e) => e.to_string(),
     };
     let corruption = fault(0, CorruptionKind::BadHeader, detail, record_lines(&bytes));
-    Ok(scan(false, Vec::new(), Some(corruption)))
+    Ok(scan(false, Some(corruption)))
 }
 
-/// Scans a segment's record lines up to the first fault. `fault` builds a
-/// finding from `(record_index, kind, detail, dropped_records)`.
+/// Scans a segment's record lines up to the first fault, appending each
+/// verified record to `records`. One pass hashes every byte for both
+/// checksums: each line's JSON for its own, and the whole payload for a
+/// sealed header's, returned with the fault (the hash of the whole payload
+/// only when there is none). `fault` builds a finding from
+/// `(record_index, kind, detail, dropped_records)`.
 fn scan_records(
     payload: &[u8],
     mut last_seq: u64,
+    records: &mut Vec<VoteRecord>,
     fault: &impl Fn(u64, CorruptionKind, String, u64) -> Corruption,
-) -> (Vec<VoteRecord>, Option<Corruption>) {
-    let mut records: Vec<VoteRecord> = Vec::new();
+) -> (u64, Option<Corruption>) {
+    let mut whole = Fnv1a::default();
     for (index, line) in (0u64..).zip(payload.split_inclusive(|&b| b == b'\n')) {
         let parsed = match line.strip_suffix(b"\n") {
             // No trailing newline: a torn in-flight append.
@@ -666,7 +677,7 @@ fn scan_records(
                 CorruptionKind::TornTail,
                 format!("{} trailing bytes with no newline", line.len()),
             )),
-            Some(line) => parse_record_line(line).and_then(|rec| {
+            Some(line) => parse_record_line(line, &mut whole).and_then(|rec| {
                 if rec.seq > last_seq {
                     Ok(rec)
                 } else {
@@ -679,17 +690,18 @@ fn scan_records(
             Ok(rec) => {
                 last_seq = rec.seq;
                 records.push(rec);
+                whole.write(b"\n");
             }
             // The lines left (`dropped_records`; a torn tail is one) are
             // counted only on a fault: counting them per record made replay
             // quadratic in segment length.
             Err((kind, detail)) => {
                 let dropped = payload_line_count(payload).saturating_sub(index).max(1);
-                return (records, Some(fault(index, kind, detail, dropped)));
+                return (whole.finish(), Some(fault(index, kind, detail, dropped)));
             }
         }
     }
-    (records, None)
+    (whole.finish(), None)
 }
 
 /// Appends `record`'s JSON to `out` in the one form the log writes (see the
@@ -810,8 +822,12 @@ fn push_record_line(record: &VoteRecord, out: &mut Vec<u8>) {
     out.push(b'\n');
 }
 
-/// Parses one `"<fnv1a-hex> <json>"` record line.
-fn parse_record_line(line: &[u8]) -> std::result::Result<VoteRecord, (CorruptionKind, String)> {
+/// Parses one `"<fnv1a-hex> <json>"` record line, feeding its bytes to the
+/// running payload hash `whole` once its checksum literal has parsed.
+fn parse_record_line(
+    line: &[u8],
+    whole: &mut Fnv1a,
+) -> std::result::Result<VoteRecord, (CorruptionKind, String)> {
     let text = std::str::from_utf8(line)
         .map_err(|_| (CorruptionKind::MalformedRecord, "not UTF-8".to_string()))?;
     let Some((hex, json)) = text.split_once(' ') else {
@@ -826,7 +842,8 @@ fn parse_record_line(line: &[u8]) -> std::result::Result<VoteRecord, (Corruption
             format!("bad checksum literal {hex:?}"),
         )
     })?;
-    let actual = fnv1a(json.as_bytes());
+    whole.write(&line[..=hex.len()]);
+    let actual = whole.write_and_hash(json.as_bytes());
     if expected != actual {
         return Err((
             CorruptionKind::ChecksumMismatch,
@@ -910,16 +927,18 @@ pub fn compactable_segments(
         let segments = list_segments(config, shard)?;
         let mut last_seq = 0u64;
         let mut expected: Option<u64> = None;
+        let mut records = Vec::new();
         for &(segment, ref path) in &segments {
             if expected.is_some_and(|e| segment != e) {
                 break; // mid-chain gap: leave it for open()'s repair
             }
             expected = Some(segment + 1);
-            let scan = scan_segment(path, shard, segment, last_seq)?;
+            records.clear();
+            let scan = scan_segment(path, shard, segment, last_seq, &mut records)?;
             if scan.corruption.is_some() || !scan.sealed {
                 break;
             }
-            if let Some(last) = scan.records.last() {
+            if let Some(last) = records.last() {
                 last_seq = last.seq;
             }
             if last_seq > target_seq {
@@ -929,7 +948,7 @@ pub fn compactable_segments(
                 shard,
                 segment,
                 path: path.clone(),
-                records: scan.records.len() as u64,
+                records: records.len() as u64,
                 bytes: scan.bytes,
             });
         }

@@ -11,12 +11,14 @@
 //! it must decode to a typed error or a valid value, never a panic.
 
 use std::fs;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use rll_label::{
-    read_snapshot, replay_read_only, write_snapshot, CorruptionKind, LabelError, ShardedWal, Vote,
-    WalConfig,
+    encode_record, read_snapshot, replay_read_only, write_snapshot, CorruptionKind, LabelError,
+    ShardedWal, Vote, WalConfig,
 };
+use rll_tensor::hash::fnv1a;
 use rll_tensor::Rng64;
 
 const SNAPSHOT: &[u8] = include_bytes!("fixtures/confidence.rllsnap");
@@ -168,6 +170,51 @@ fn segment_decoder_survives_cuts_and_bit_flips() {
         }
         fs::write(dir.join(name), fixture).unwrap();
     }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// FNV-1a of the transcript [`replay_verdicts_match_the_pinned_digest`]
+/// writes, recorded with the two-pass segment scan (per-line hashes, then the
+/// sealed payload hashed again whole) that the one-pass scan replaced, and
+/// with the JSON shim's RFC 8259 number grammar. Under the shim's older,
+/// looser grammar the digest was `0x0624_850a_c85f_bbe0`: one flip gave the
+/// sealed header's checksum a leading zero, which it read as another number
+/// (`SealedMetadataMismatch`, six records) and now rejects (`BadHeader`), and
+/// twelve header findings carry a different parse message.
+const REPLAY_VERDICTS_FNV1A: u64 = 0xd0ed_6fc5_3047_ad6e;
+
+/// Every cut and seeded bit flip of both segment fixtures, replayed
+/// read-only: the recovered records and each finding's kind, position, drop
+/// count and detail must hash to the pinned digest, so a change to the scan
+/// keeps every verdict, message and order. The finding's `file` is left
+/// out, and the directory is masked in `detail`, since both hold a temporary
+/// path.
+#[test]
+fn replay_verdicts_match_the_pinned_digest() {
+    let dir = fresh_dir("verdicts");
+    let config = wal_config(&dir);
+    let dir_text = dir.display().to_string();
+    write_segment_fixtures(&dir);
+    let mut transcript = Vec::new();
+    for (seed, (name, fixture)) in [(0x5EA1_0004, SEALED), (0x5EA1_0005, UNSEALED)] {
+        for bytes in mutations(fixture, seed) {
+            fs::write(dir.join(name), &bytes).unwrap();
+            let replay = replay_read_only(&config).unwrap();
+            for record in &replay.records {
+                encode_record(record, &mut transcript);
+                transcript.push(b'\n');
+            }
+            for c in &replay.corruptions {
+                let detail = c.detail.replace(&dir_text, "<dir>");
+                let (kind, index, dropped) = (c.kind, c.record_index, c.dropped_records);
+                writeln!(transcript, "{kind:?} {index} {dropped} {detail}").unwrap();
+            }
+            transcript.push(b'|');
+        }
+        fs::write(dir.join(name), fixture).unwrap();
+    }
+    let digest = fnv1a(&transcript);
+    assert_eq!(digest, REPLAY_VERDICTS_FNV1A, "digest {digest:#018x}");
     fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -32,15 +32,18 @@ cargo build --workspace --all-targets
 echo "== cargo test =="
 cargo test -q --workspace
 
-echo "== cargo test --release (tensor, nn, core, label, serve) =="
+echo "== cargo test --release (tensor, nn, core, label, serve, serde_json, crowd) =="
 # The benchmark, `serve` and the checkpoint gates below all run release code,
 # while the golden-hash tests above run in debug. Run the numeric crates'
 # tests in release too, so an optimisation-only difference cannot hide, and
 # the label and serve crates' tests, which cover the WAL record decoder and
-# the serving stack the gates below drive. RLL_LOCK_WITNESS=1 arms the lock
-# witness in release builds, as for every release binary below.
+# the serving stack the gates below drive. The JSON shim parses every
+# request, header and snapshot those gates touch, and the tracker's
+# confidences come from rll-crowd's estimator, so their tests run in release
+# as well. RLL_LOCK_WITNESS=1 arms the lock witness in release builds, as for
+# every release binary below.
 RLL_LOCK_WITNESS=1 cargo test --release -q -p rll-tensor -p rll-nn -p rll-core \
-    -p rll-label -p rll-serve
+    -p rll-label -p rll-serve -p serde_json -p rll-crowd
 
 echo "== benchmark package (build + test against the workspace crates) =="
 # benchmark/ is a standalone package with path deps on crates/*, so nothing
