@@ -1,13 +1,13 @@
 //! `crashtest` — fault-injection proof that resumed training is lossless.
 //!
 //! ```text
-//! crashtest [--preset oral|class] [--n N] [--epochs N] [--seed N]
-//!           [--every N] [--kill-at E1,E2,…] [--resume-threads N]
-//!           [--out-dir PATH]
+//! crashtest [--n N] [--epochs N] [--every N] [--kill-at E1,E2,…]
+//!           [--resume-threads N] [--out-dir PATH]
 //! ```
 //!
-//! The harness trains one **golden** uninterrupted run to a checkpoint, then
-//! for every kill epoch: trains a fresh pipeline with a [`FaultPlan`] that
+//! The harness trains on `--n` examples of the simulated oral preset, seed
+//! 42. It trains one **golden** uninterrupted run to a checkpoint, then for
+//! every kill epoch: trains a fresh pipeline with a [`FaultPlan`] that
 //! aborts after that epoch (mimicking a crash between epochs), resumes from
 //! the latest `.rllstate` snapshot, and demands the resumed run's final
 //! `.rllckpt` be **byte-identical** to the golden one. Any drift — a missed
@@ -25,11 +25,12 @@ use rll_serve::Checkpoint;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// Dataset and training seed of every run in the harness.
+const SEED: u64 = 42;
+
 struct Args {
-    preset: String,
     n: usize,
     epochs: usize,
-    seed: u64,
     every: usize,
     kill_at: Vec<usize>,
     resume_threads: Option<usize>,
@@ -37,8 +38,8 @@ struct Args {
 }
 
 const USAGE: &str = "usage:
-  crashtest [--preset oral|class] [--n N] [--epochs N] [--seed N]
-            [--every N] [--kill-at E1,E2,...] [--resume-threads N] [--out-dir PATH]";
+  crashtest [--n N] [--epochs N] [--every N] [--kill-at E1,E2,...]
+            [--resume-threads N] [--out-dir PATH]";
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -70,10 +71,8 @@ fn take_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, Stri
 
 fn parse(raw: &[String]) -> Result<Args, String> {
     let mut args = Args {
-        preset: "oral".to_string(),
         n: 120,
         epochs: 12,
-        seed: 42,
         every: 3,
         kill_at: vec![2, 5, 10],
         resume_threads: None,
@@ -85,14 +84,9 @@ fn parse(raw: &[String]) -> Result<Args, String> {
     let mut i = 0;
     while i < raw.len() {
         match raw[i].as_str() {
-            "--preset" => args.preset = take_value(raw, &mut i, "--preset")?,
             "--n" => args.n = parse_num("--n", take_value(raw, &mut i, "--n")?)?,
             "--epochs" => {
                 args.epochs = parse_num("--epochs", take_value(raw, &mut i, "--epochs")?)?
-            }
-            "--seed" => {
-                let v = take_value(raw, &mut i, "--seed")?;
-                args.seed = v.parse().map_err(|_| format!("invalid --seed: {v}"))?;
             }
             "--every" => args.every = parse_num("--every", take_value(raw, &mut i, "--every")?)?,
             "--kill-at" => {
@@ -127,11 +121,7 @@ fn parse(raw: &[String]) -> Result<Args, String> {
 }
 
 fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let ds = match args.preset.as_str() {
-        "oral" => rll_data::presets::oral_scaled(args.n, args.seed)?,
-        "class" => rll_data::presets::class_scaled(args.n, args.seed)?,
-        other => return Err(format!("unknown preset {other:?} (use oral|class)").into()),
-    };
+    let ds = rll_data::presets::oral_scaled(args.n, SEED)?;
     std::fs::create_dir_all(&args.out_dir)?;
     let config = RllConfig {
         epochs: args.epochs,
@@ -145,7 +135,7 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     // Golden: uninterrupted training, straight to a checkpoint.
     let golden_path = args.out_dir.join("golden.rllckpt");
     let mut golden = RllPipeline::new(config.clone());
-    golden.fit(&ds.features, &ds.annotations, args.seed)?;
+    golden.fit(&ds.features, &ds.annotations, SEED)?;
     Checkpoint::from_pipeline(&golden, run_id)?.save(&golden_path)?;
     let golden_bytes = std::fs::read(&golden_path)?;
     println!(
@@ -178,7 +168,7 @@ fn verify_kill_point(
         .with_fault_plan(FaultPlan {
             kill_after_epoch: kill_epoch,
         });
-    match victim.fit(&ds.features, &ds.annotations, args.seed) {
+    match victim.fit(&ds.features, &ds.annotations, SEED) {
         Err(RllError::Interrupted { epochs_done }) => {
             if epochs_done != kill_epoch + 1 {
                 return Err(format!(

@@ -371,8 +371,11 @@ mod tests {
             let gb = b.lock();
             assert_eq!(*ga + *gb, 3);
         }
-        // Debug builds run the witness unconditionally, so the counter moves.
-        assert!(validations() >= before + 2);
+        if witness_enabled() {
+            assert!(validations() >= before + 2);
+        } else {
+            assert_eq!(validations(), 0, "an unarmed witness counts nothing");
+        }
     }
 
     #[test]
@@ -384,6 +387,10 @@ mod tests {
             let _g_lo = lo.lock(); // rank 5 under rank 50: inversion
         })
         .join();
+        if !witness_enabled() {
+            result.expect("an unarmed witness never panics");
+            return;
+        }
         let payload = result.expect_err("inversion must panic");
         let msg = payload
             .downcast_ref::<String>()
@@ -402,7 +409,11 @@ mod tests {
             let _gb = b.lock();
         })
         .join();
-        assert!(result.is_err(), "two rank-10 locks on one thread must trip");
+        assert_eq!(
+            result.is_err(),
+            witness_enabled(),
+            "two rank-10 locks on one thread must trip exactly when the witness is armed"
+        );
     }
 
     #[test]

@@ -3,101 +3,102 @@
 //! Two modes:
 //!
 //! ```text
-//! serve train-demo [--out PATH] [--preset oral|class] [--n N] [--epochs N] [--seed N] [--profile]
-//! serve --checkpoint PATH [--addr HOST:PORT] [--workers N] [--batch N]
-//!       [--queue N] [--cache N] [--port-file PATH] [--trace-out PATH]
+//! serve train-demo [--out PATH] [--n N] [--epochs N] [--seed N] [--profile]
+//! serve --checkpoint PATH [--addr HOST:PORT] [--port-file PATH] [--trace-out PATH]
 //!       [--labels-dir DIR] [--labels-shards N] [--labels-segment N]
-//!       [--labels-estimator mle|bayesian] [--live-preset oral|class]
-//!       [--live-n N] [--live-seed N] [--live-workers N]
-//!       [--retrain-votes N] [--retrain-epochs N]
-//!       [--retrain-trigger votes|drift] [--retrain-drift F]
-//!       [--retrain-disagreement F] [--retrain-weighting on|off]
-//!       [--retrain-spam-threshold F] [--retrain-spam-min-votes N]
+//!       [--live-preset oral|class] [--live-n N] [--live-seed N] [--live-workers N]
+//!       [--retrain-votes N] [--retrain-epochs N] [--retrain-trigger votes|drift]
 //!       [--compact on|off]
 //! ```
 //!
-//! `train-demo` trains a small RLL pipeline on a simulated preset and writes
-//! a checkpoint — the train→checkpoint handoff in miniature, stamping the
-//! rll-obs run id of the training run into the checkpoint header; `--profile`
-//! turns on the per-epoch self-time profiler (EpochProfile events in the run
-//! JSONL, checkpoint bytes unaffected). The serving mode loads any checkpoint
-//! and listens until killed; `POST /reload` re-reads the `--checkpoint` file
-//! to hot-swap a newer model without a restart. `--addr` with port 0 binds an
-//! ephemeral port; `--port-file` writes the resolved `host:port` so scripts
-//! (e.g. the CI smoke test) can find it. `--trace-out` enables request
-//! tracing: every request appends one `trace/v1` JSON line to the given file
-//! (checked by `profile --validate`).
+//! `train-demo` trains a small RLL pipeline on the simulated oral preset and
+//! writes a checkpoint — the train→checkpoint handoff in miniature, stamping
+//! the rll-obs run id of the training run into the checkpoint header;
+//! `--profile` turns on the per-epoch self-time profiler (EpochProfile events
+//! in the run JSONL, checkpoint bytes unaffected). The serving mode loads any
+//! checkpoint and listens until killed, with the engine's default workers,
+//! batch, queue and cache sizes; `POST /reload` re-reads the `--checkpoint`
+//! file to hot-swap a newer model without a restart. `--addr` with port 0
+//! binds an ephemeral port; `--port-file` writes the resolved `host:port` so
+//! scripts (e.g. the CI smoke test) can find it. `--trace-out` enables
+//! request tracing: every request appends one `trace/v1` JSON line to the
+//! given file (checked by `profile --validate`).
 //!
 //! `--labels-dir` turns on **live labeling**: crowd votes posted to
 //! `POST /label` are appended to a sharded WAL in that directory (replayed on
-//! restart) and exposed as online confidences under `GET /labels`. The live
-//! dataset is the `--live-preset`/`--live-n`/`--live-seed` simulation — the
-//! same generator `train-demo` trains from, so the served checkpoint and the
-//! vote stream agree on example ids. With `--retrain-votes N` a background
-//! retrainer additionally watches the vote stream, folds new votes into the
-//! dataset, retrains, writes the checkpoint atomically, and hot-swaps it
-//! through its own `POST /reload` — the full ingest → retrain → reload loop
-//! in one process. `N` is the new-vote floor; by default the round only
-//! fires when the confidence field actually moved (`--retrain-trigger
-//! drift`, tuned by `--retrain-drift`/`--retrain-disagreement`), and
-//! `--retrain-trigger votes` restores the fixed every-N behaviour. The fold
-//! weights annotators by live Dawid–Skene quality and drops probable
-//! spammers (`--retrain-weighting off` folds everyone); after each
-//! completed round the WAL history below the published `folded_seq` is
-//! compacted into a checksummed confidence snapshot (`--compact off`
-//! disables the automatic pass; `POST /compact` always works).
+//! restart) and exposed as online Bayesian Beta(1, 1) confidences (eq. 2)
+//! under `GET /labels`. The live dataset is the
+//! `--live-preset`/`--live-n`/`--live-seed` simulation — the same generator
+//! `train-demo` trains from, so the served checkpoint and the vote stream
+//! agree on example ids. With `--retrain-votes N` a background retrainer
+//! additionally watches the vote stream, folds new votes into the dataset,
+//! retrains, writes the checkpoint atomically, and hot-swaps it through its
+//! own `POST /reload` — the full ingest → retrain → reload loop in one
+//! process. `N` is the new-vote floor; by default the round only fires when
+//! the confidence field actually moved (`--retrain-trigger drift`: summed
+//! drift 4.0 or mean disagreement 0.35), and `--retrain-trigger votes`
+//! restores the fixed every-N behaviour. The fold always weights annotators
+//! by live Dawid–Skene quality and drops probable spammers (informativeness
+//! below 0.2 after at least 3 votes); after each completed round the WAL
+//! history below the published `folded_seq` is compacted into a checksummed
+//! confidence snapshot (`--compact off` disables the automatic pass;
+//! `POST /compact` always works).
 
 use rll_core::{RllConfig, RllPipeline};
 use rll_serve::{
     Checkpoint, EmbedServer, EngineConfig, InferenceEngine, ServerConfig, ServingModel,
 };
 use std::process::ExitCode;
+use std::slice::Iter;
+use std::str::FromStr;
 
+#[derive(Debug, PartialEq)]
 struct TrainDemoArgs {
     out: String,
-    preset: String,
     n: usize,
     epochs: usize,
     seed: u64,
     profile: bool,
 }
 
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Preset {
+    Oral,
+    Class,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Trigger {
+    Votes,
+    Drift,
+}
+
+#[derive(Debug, PartialEq)]
 struct ServeArgs {
     checkpoint: String,
     addr: String,
-    workers: usize,
-    batch: usize,
-    queue: usize,
-    cache: usize,
     port_file: Option<String>,
     trace_out: Option<String>,
     labels_dir: Option<String>,
     labels_shards: u32,
     labels_segment: u64,
-    labels_estimator: String,
-    live_preset: String,
+    live_preset: Preset,
     live_n: usize,
     live_seed: u64,
     live_workers: u32,
     retrain_votes: u64,
     retrain_epochs: usize,
-    retrain_trigger: String,
-    retrain_drift: f64,
-    retrain_disagreement: f64,
-    retrain_weighting: String,
-    retrain_spam_threshold: f64,
-    retrain_spam_min_votes: u64,
-    compact: String,
+    retrain_trigger: Trigger,
+    compact: bool,
 }
 
 const USAGE: &str = "usage:
-  serve train-demo [--out PATH] [--preset oral|class] [--n N] [--epochs N] [--seed N] [--profile]
-  serve --checkpoint PATH [--addr HOST:PORT] [--workers N] [--batch N] [--queue N] [--cache N] [--port-file PATH] [--trace-out PATH]
-        [--labels-dir DIR] [--labels-shards N] [--labels-segment N] [--labels-estimator mle|bayesian]
+  serve train-demo [--out PATH] [--n N] [--epochs N] [--seed N] [--profile]
+  serve --checkpoint PATH [--addr HOST:PORT] [--port-file PATH] [--trace-out PATH]
+        [--labels-dir DIR] [--labels-shards N] [--labels-segment N]
         [--live-preset oral|class] [--live-n N] [--live-seed N] [--live-workers N]
         [--retrain-votes N] [--retrain-epochs N] [--retrain-trigger votes|drift]
-        [--retrain-drift F] [--retrain-disagreement F] [--retrain-weighting on|off]
-        [--retrain-spam-threshold F] [--retrain-spam-min-votes N] [--compact on|off]";
+        [--compact on|off]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -119,205 +120,119 @@ fn main() -> ExitCode {
     }
 }
 
-fn take_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
-    *i += 1;
-    args.get(*i)
-        .cloned()
+fn value<'a>(args: &mut Iter<'a, String>, flag: &str) -> Result<&'a str, String> {
+    args.next()
+        .map(String::as_str)
         .ok_or_else(|| format!("{flag} requires a value"))
+}
+
+fn number<T: FromStr>(args: &mut Iter<'_, String>, flag: &str) -> Result<T, String> {
+    value(args, flag)?
+        .parse()
+        .map_err(|_| format!("invalid {flag}"))
+}
+
+/// The value of `flag`, which must name one of `choices`.
+fn choice<T: Copy>(
+    args: &mut Iter<'_, String>,
+    flag: &str,
+    choices: &[(&str, T)],
+) -> Result<T, String> {
+    let given = value(args, flag)?;
+    match choices.iter().find(|(name, _)| *name == given) {
+        Some(&(_, typed)) => Ok(typed),
+        None => {
+            let names: Vec<&str> = choices.iter().map(|(name, _)| *name).collect();
+            Err(format!("{flag} must be {}, got {given:?}", names.join("|")))
+        }
+    }
 }
 
 fn parse_train_demo(args: &[String]) -> Result<TrainDemoArgs, String> {
     let mut out = TrainDemoArgs {
         out: "results/demo.rllckpt".to_string(),
-        preset: "oral".to_string(),
         n: 240,
         epochs: 20,
         seed: 42,
         profile: false,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => out.out = take_value(args, &mut i, "--out")?,
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let args = &mut args;
+        match flag.as_str() {
+            "--out" => out.out = value(args, flag)?.to_string(),
             "--profile" => out.profile = true,
-            "--preset" => out.preset = take_value(args, &mut i, "--preset")?,
-            "--n" => {
-                out.n = take_value(args, &mut i, "--n")?
-                    .parse()
-                    .map_err(|_| "invalid --n".to_string())?
-            }
-            "--epochs" => {
-                out.epochs = take_value(args, &mut i, "--epochs")?
-                    .parse()
-                    .map_err(|_| "invalid --epochs".to_string())?
-            }
-            "--seed" => {
-                out.seed = take_value(args, &mut i, "--seed")?
-                    .parse()
-                    .map_err(|_| "invalid --seed".to_string())?
-            }
+            "--n" => out.n = number(args, flag)?,
+            "--epochs" => out.epochs = number(args, flag)?,
+            "--seed" => out.seed = number(args, flag)?,
             other => return Err(format!("unknown flag: {other}")),
         }
-        i += 1;
     }
     Ok(out)
 }
 
 fn parse_serve(args: &[String]) -> Result<ServeArgs, String> {
-    let defaults = EngineConfig::default();
     let mut out = ServeArgs {
         checkpoint: String::new(),
         addr: "127.0.0.1:7878".to_string(),
-        workers: defaults.workers,
-        batch: defaults.max_batch,
-        queue: defaults.queue_capacity,
-        cache: defaults.cache_capacity,
         port_file: None,
         trace_out: None,
         labels_dir: None,
         labels_shards: 4,
         labels_segment: 256,
-        labels_estimator: "bayesian".to_string(),
-        live_preset: "oral".to_string(),
+        live_preset: Preset::Oral,
         live_n: 240,
         live_seed: 42,
         live_workers: 8,
         retrain_votes: 0,
         retrain_epochs: 10,
-        retrain_trigger: "drift".to_string(),
-        retrain_drift: 4.0,
-        retrain_disagreement: 0.35,
-        retrain_weighting: "on".to_string(),
-        retrain_spam_threshold: 0.2,
-        retrain_spam_min_votes: 3,
-        compact: "on".to_string(),
+        retrain_trigger: Trigger::Drift,
+        compact: true,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--checkpoint" => out.checkpoint = take_value(args, &mut i, "--checkpoint")?,
-            "--addr" => out.addr = take_value(args, &mut i, "--addr")?,
-            "--workers" => {
-                out.workers = take_value(args, &mut i, "--workers")?
-                    .parse()
-                    .map_err(|_| "invalid --workers".to_string())?
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let args = &mut args;
+        match flag.as_str() {
+            "--checkpoint" => out.checkpoint = value(args, flag)?.to_string(),
+            "--addr" => out.addr = value(args, flag)?.to_string(),
+            "--port-file" => out.port_file = Some(value(args, flag)?.to_string()),
+            "--trace-out" => out.trace_out = Some(value(args, flag)?.to_string()),
+            "--labels-dir" => out.labels_dir = Some(value(args, flag)?.to_string()),
+            "--labels-shards" => out.labels_shards = number(args, flag)?,
+            "--labels-segment" => out.labels_segment = number(args, flag)?,
+            "--live-preset" => {
+                out.live_preset = choice(
+                    args,
+                    flag,
+                    &[("oral", Preset::Oral), ("class", Preset::Class)],
+                )?
             }
-            "--batch" => {
-                out.batch = take_value(args, &mut i, "--batch")?
-                    .parse()
-                    .map_err(|_| "invalid --batch".to_string())?
-            }
-            "--queue" => {
-                out.queue = take_value(args, &mut i, "--queue")?
-                    .parse()
-                    .map_err(|_| "invalid --queue".to_string())?
-            }
-            "--cache" => {
-                out.cache = take_value(args, &mut i, "--cache")?
-                    .parse()
-                    .map_err(|_| "invalid --cache".to_string())?
-            }
-            "--port-file" => out.port_file = Some(take_value(args, &mut i, "--port-file")?),
-            "--trace-out" => out.trace_out = Some(take_value(args, &mut i, "--trace-out")?),
-            "--labels-dir" => out.labels_dir = Some(take_value(args, &mut i, "--labels-dir")?),
-            "--labels-shards" => {
-                out.labels_shards = take_value(args, &mut i, "--labels-shards")?
-                    .parse()
-                    .map_err(|_| "invalid --labels-shards".to_string())?
-            }
-            "--labels-segment" => {
-                out.labels_segment = take_value(args, &mut i, "--labels-segment")?
-                    .parse()
-                    .map_err(|_| "invalid --labels-segment".to_string())?
-            }
-            "--labels-estimator" => {
-                out.labels_estimator = take_value(args, &mut i, "--labels-estimator")?
-            }
-            "--live-preset" => out.live_preset = take_value(args, &mut i, "--live-preset")?,
-            "--live-n" => {
-                out.live_n = take_value(args, &mut i, "--live-n")?
-                    .parse()
-                    .map_err(|_| "invalid --live-n".to_string())?
-            }
-            "--live-seed" => {
-                out.live_seed = take_value(args, &mut i, "--live-seed")?
-                    .parse()
-                    .map_err(|_| "invalid --live-seed".to_string())?
-            }
-            "--live-workers" => {
-                out.live_workers = take_value(args, &mut i, "--live-workers")?
-                    .parse()
-                    .map_err(|_| "invalid --live-workers".to_string())?
-            }
-            "--retrain-votes" => {
-                out.retrain_votes = take_value(args, &mut i, "--retrain-votes")?
-                    .parse()
-                    .map_err(|_| "invalid --retrain-votes".to_string())?
-            }
-            "--retrain-epochs" => {
-                out.retrain_epochs = take_value(args, &mut i, "--retrain-epochs")?
-                    .parse()
-                    .map_err(|_| "invalid --retrain-epochs".to_string())?
-            }
+            "--live-n" => out.live_n = number(args, flag)?,
+            "--live-seed" => out.live_seed = number(args, flag)?,
+            "--live-workers" => out.live_workers = number(args, flag)?,
+            "--retrain-votes" => out.retrain_votes = number(args, flag)?,
+            "--retrain-epochs" => out.retrain_epochs = number(args, flag)?,
             "--retrain-trigger" => {
-                out.retrain_trigger = take_value(args, &mut i, "--retrain-trigger")?
+                out.retrain_trigger = choice(
+                    args,
+                    flag,
+                    &[("votes", Trigger::Votes), ("drift", Trigger::Drift)],
+                )?
             }
-            "--retrain-drift" => {
-                out.retrain_drift = take_value(args, &mut i, "--retrain-drift")?
-                    .parse()
-                    .map_err(|_| "invalid --retrain-drift".to_string())?
-            }
-            "--retrain-disagreement" => {
-                out.retrain_disagreement = take_value(args, &mut i, "--retrain-disagreement")?
-                    .parse()
-                    .map_err(|_| "invalid --retrain-disagreement".to_string())?
-            }
-            "--retrain-weighting" => {
-                out.retrain_weighting = take_value(args, &mut i, "--retrain-weighting")?
-            }
-            "--retrain-spam-threshold" => {
-                out.retrain_spam_threshold = take_value(args, &mut i, "--retrain-spam-threshold")?
-                    .parse()
-                    .map_err(|_| "invalid --retrain-spam-threshold".to_string())?
-            }
-            "--retrain-spam-min-votes" => {
-                out.retrain_spam_min_votes = take_value(args, &mut i, "--retrain-spam-min-votes")?
-                    .parse()
-                    .map_err(|_| "invalid --retrain-spam-min-votes".to_string())?
-            }
-            "--compact" => out.compact = take_value(args, &mut i, "--compact")?,
+            "--compact" => out.compact = choice(args, flag, &[("on", true), ("off", false)])?,
             other => return Err(format!("unknown flag: {other}")),
         }
-        i += 1;
     }
     if out.checkpoint.is_empty() {
         return Err("--checkpoint is required".to_string());
-    }
-    if !matches!(out.retrain_trigger.as_str(), "votes" | "drift") {
-        return Err(format!(
-            "--retrain-trigger must be votes|drift, got {:?}",
-            out.retrain_trigger
-        ));
-    }
-    for (flag, value) in [
-        ("--retrain-weighting", out.retrain_weighting.as_str()),
-        ("--compact", out.compact.as_str()),
-    ] {
-        if !matches!(value, "on" | "off") {
-            return Err(format!("{flag} must be on|off, got {value:?}"));
-        }
     }
     Ok(out)
 }
 
 fn train_demo(args: &TrainDemoArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let ds = match args.preset.as_str() {
-        "oral" => rll_data::presets::oral_scaled(args.n, args.seed)?,
-        "class" => rll_data::presets::class_scaled(args.n, args.seed)?,
-        other => return Err(format!("unknown preset {other:?} (use oral|class)").into()),
-    };
+    let ds = rll_data::presets::oral_scaled(args.n, args.seed)?;
     let recorder = rll_obs::Recorder::for_experiment("serve-train-demo", args.seed);
-    recorder.run_start("serve-train-demo", &args.preset, args.seed);
+    recorder.run_start("serve-train-demo", "oral", args.seed);
     let config = RllConfig {
         epochs: args.epochs,
         groups_per_epoch: 128,
@@ -388,17 +303,6 @@ fn post_reload(addr: std::net::SocketAddr) -> Result<(), String> {
     }
 }
 
-fn live_dataset(args: &ServeArgs) -> Result<rll_data::Dataset, Box<dyn std::error::Error>> {
-    match args.live_preset.as_str() {
-        "oral" => Ok(rll_data::presets::oral_scaled(args.live_n, args.live_seed)?),
-        "class" => Ok(rll_data::presets::class_scaled(
-            args.live_n,
-            args.live_seed,
-        )?),
-        other => Err(format!("unknown preset {other:?} (use oral|class)").into()),
-    }
-}
-
 fn run_server(args: &ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
     let checkpoint = Checkpoint::load(&args.checkpoint)?;
     let meta = checkpoint.meta.clone();
@@ -417,49 +321,41 @@ fn run_server(args: &ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
     let recorder = rll_obs::Recorder::new("serve", sinks);
     let engine = InferenceEngine::start(
         ServingModel::from_checkpoint(checkpoint),
-        EngineConfig {
-            workers: args.workers,
-            queue_capacity: args.queue,
-            max_batch: args.batch,
-            cache_capacity: args.cache,
-        },
+        EngineConfig::default(),
         recorder.clone(),
     )?;
 
     // Live labeling: the label store replays its WAL before the listener
     // opens, so the first request already sees the recovered state.
-    let labels = match &args.labels_dir {
+    let live = match &args.labels_dir {
         Some(dir) => {
-            let ds = live_dataset(args)?;
-            let estimator = match args.labels_estimator.as_str() {
-                "mle" => rll_crowd::ConfidenceEstimator::Mle,
-                "bayesian" => rll_crowd::ConfidenceEstimator::Bayesian(rll_crowd::BetaPrior {
-                    alpha: 1.0,
-                    beta: 1.0,
-                }),
-                other => {
-                    return Err(format!("unknown estimator {other:?} (use mle|bayesian)").into())
-                }
+            let dir = std::path::PathBuf::from(dir);
+            let ds = match args.live_preset {
+                Preset::Oral => rll_data::presets::oral_scaled(args.live_n, args.live_seed)?,
+                Preset::Class => rll_data::presets::class_scaled(args.live_n, args.live_seed)?,
             };
             let store = rll_label::LabelStore::open(
                 rll_label::LabelStoreConfig {
-                    dir: dir.clone().into(),
+                    dir: dir.clone(),
                     shards: args.labels_shards,
                     segment_records: args.labels_segment,
-                    estimator,
+                    estimator: rll_crowd::ConfidenceEstimator::Bayesian(
+                        rll_crowd::BetaPrior::uniform(),
+                    ),
                     num_examples: ds.features.rows() as u64,
                     max_workers: args.live_workers,
                     dedup_capacity: rll_label::DEFAULT_DEDUP_CAPACITY,
-                    manifest_path: Some(std::path::Path::new(dir).join("retrain.manifest.json")),
+                    manifest_path: Some(dir.join("retrain.manifest.json")),
                 },
                 recorder.clone(),
             )?;
             println!(
-                "live labeling in {dir} ({} examples, high water {})",
+                "live labeling in {} ({} examples, high water {})",
+                dir.display(),
                 ds.features.rows(),
                 store.high_water()
             );
-            Some(std::sync::Arc::new(store))
+            Some((dir, std::sync::Arc::new(store), ds))
         }
         None => None,
     };
@@ -474,7 +370,8 @@ fn run_server(args: &ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
         },
         recorder.clone(),
         &meta.train_run_id,
-        labels.clone(),
+        live.as_ref()
+            .map(|(_, store, _)| std::sync::Arc::clone(store)),
     )?;
     let addr = server.local_addr();
     println!("rll-serve listening on {addr}");
@@ -484,31 +381,21 @@ fn run_server(args: &ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
 
     // The retrain → hot-reload loop, once the listener is up (its publish
     // sink reloads through the server's own socket).
-    let _retrainer = match &labels {
-        Some(store) if args.retrain_votes > 0 => {
-            let dir = std::path::PathBuf::from(args.labels_dir.as_deref().unwrap_or_default());
-            let ds = live_dataset(args)?;
+    let _retrainer = match live {
+        Some((dir, store, ds)) if args.retrain_votes > 0 => {
             let base = rll_label::RetrainBase {
                 features: ds.features,
                 annotations: ds.annotations,
                 expert_labels: Some(ds.expert_labels),
             };
-            let trigger = match args.retrain_trigger.as_str() {
-                "votes" => rll_label::RetrainTrigger::Votes {
-                    min_new_votes: args.retrain_votes,
+            let min_new_votes = args.retrain_votes;
+            let trigger = match args.retrain_trigger {
+                Trigger::Votes => rll_label::RetrainTrigger::Votes { min_new_votes },
+                Trigger::Drift => rll_label::RetrainTrigger::Drift {
+                    min_new_votes,
+                    drift_threshold: 4.0,
+                    disagreement_threshold: 0.35,
                 },
-                _ => rll_label::RetrainTrigger::Drift {
-                    min_new_votes: args.retrain_votes,
-                    drift_threshold: args.retrain_drift,
-                    disagreement_threshold: args.retrain_disagreement,
-                },
-            };
-            let weighting = match args.retrain_weighting.as_str() {
-                "off" => None,
-                _ => Some(rll_label::WorkerWeighting {
-                    spam_threshold: args.retrain_spam_threshold,
-                    min_votes: args.retrain_spam_min_votes,
-                }),
             };
             let config = rll_label::RetrainConfig {
                 train: RllConfig {
@@ -518,8 +405,11 @@ fn run_server(args: &ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
                 },
                 base_seed: args.live_seed,
                 trigger,
-                weighting,
-                auto_compact: args.compact == "on",
+                weighting: Some(rll_label::WorkerWeighting {
+                    spam_threshold: 0.2,
+                    min_votes: 3,
+                }),
+                auto_compact: args.compact,
                 poll_interval: std::time::Duration::from_millis(200),
                 state_path: dir.join("retrain.rllstate"),
                 manifest_path: dir.join("retrain.manifest.json"),
@@ -527,7 +417,7 @@ fn run_server(args: &ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
                 threads: None,
             };
             let retrainer = rll_label::Retrainer::start(
-                std::sync::Arc::clone(store),
+                store,
                 base,
                 config,
                 recorder.clone(),
@@ -537,12 +427,8 @@ fn run_server(args: &ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
                 }),
             )?;
             println!(
-                "retrain loop armed: trigger {} (floor {} votes), {} epochs, weighting {}, compact {}",
-                args.retrain_trigger,
-                args.retrain_votes,
-                args.retrain_epochs,
-                args.retrain_weighting,
-                args.compact
+                "retrain loop armed: trigger {:?} (floor {min_new_votes} votes), {} epochs, compact {}",
+                args.retrain_trigger, args.retrain_epochs, args.compact
             );
             Some(retrainer)
         }
@@ -552,5 +438,197 @@ fn run_server(args: &ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
     // Serve until killed; the acceptor and workers own all the activity.
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    fn serve(line: &str) -> ServeArgs {
+        parse_serve(&argv(line)).unwrap_or_else(|e| panic!("{line:?} must parse: {e}"))
+    }
+
+    #[test]
+    fn check_sh_label_server_lines_parse_to_typed_values() {
+        for (floor, trigger, compact) in [
+            (40, Trigger::Drift, true),
+            (0, Trigger::Drift, false),
+            (50, Trigger::Votes, false),
+        ] {
+            let name = if trigger == Trigger::Votes {
+                "votes"
+            } else {
+                "drift"
+            };
+            let on = if compact { "on" } else { "off" };
+            let args = serve(&format!(
+                "--checkpoint s/label.rllckpt --addr 127.0.0.1:0 --port-file s/port \
+                 --labels-dir s/labels --labels-shards 2 --labels-segment 16 \
+                 --live-preset oral --live-n 80 --live-seed 42 --live-workers 8 \
+                 --retrain-votes {floor} --retrain-epochs 3 \
+                 --retrain-trigger {name} --compact {on}"
+            ));
+            assert_eq!(
+                args,
+                ServeArgs {
+                    checkpoint: "s/label.rllckpt".into(),
+                    addr: "127.0.0.1:0".into(),
+                    port_file: Some("s/port".into()),
+                    trace_out: None,
+                    labels_dir: Some("s/labels".into()),
+                    labels_shards: 2,
+                    labels_segment: 16,
+                    live_preset: Preset::Oral,
+                    live_n: 80,
+                    live_seed: 42,
+                    live_workers: 8,
+                    retrain_votes: floor,
+                    retrain_epochs: 3,
+                    retrain_trigger: trigger,
+                    compact,
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn smoke_tracing_and_readme_serve_lines_parse() {
+        let smoke = serve("--checkpoint s/smoke.rllckpt --addr 127.0.0.1:0 --port-file s/port");
+        assert_eq!(smoke.addr, "127.0.0.1:0");
+        assert_eq!(smoke.port_file.as_deref(), Some("s/port"));
+        assert_eq!(smoke.trace_out, None);
+        assert_eq!(smoke.labels_dir, None);
+
+        let traced = serve(
+            "--checkpoint s/smoke.rllckpt --addr 127.0.0.1:0 --port-file s/trace_port \
+             --trace-out s/trace.jsonl",
+        );
+        assert_eq!(traced.trace_out.as_deref(), Some("s/trace.jsonl"));
+
+        let readme = serve("--checkpoint results/demo.rllckpt --addr 127.0.0.1:7878");
+        assert_eq!(readme.checkpoint, "results/demo.rllckpt");
+        assert_eq!(readme.addr, "127.0.0.1:7878");
+        let readme_traced = serve(
+            "--checkpoint results/demo.rllckpt --addr 127.0.0.1:7878 \
+             --trace-out results/trace.jsonl",
+        );
+        assert_eq!(
+            readme_traced.trace_out.as_deref(),
+            Some("results/trace.jsonl")
+        );
+
+        let live = serve(
+            "--checkpoint results/demo.rllckpt --addr 127.0.0.1:7878 --labels-dir labels \
+             --live-preset oral --live-n 80 --live-seed 42 --live-workers 8 \
+             --retrain-votes 50 --retrain-epochs 5 --retrain-trigger drift --compact on",
+        );
+        assert_eq!(live.labels_dir.as_deref(), Some("labels"));
+        assert_eq!((live.retrain_votes, live.retrain_epochs), (50, 5));
+        assert_eq!((live.retrain_trigger, live.compact), (Trigger::Drift, true));
+    }
+
+    #[test]
+    fn benchmark_server_lines_parse() {
+        // benchmark/src/labeling.rs::server_args, then the `--addr` its
+        // child launcher appends.
+        let label = serve(
+            "--checkpoint w/model.rllckpt --labels-dir w/labels --labels-shards 2 \
+             --labels-segment 256 --live-preset oral --live-n 880 --live-seed 42 \
+             --retrain-trigger votes --retrain-votes 400 --retrain-epochs 10 --compact on \
+             --addr 127.0.0.1:0",
+        );
+        assert_eq!((label.labels_shards, label.labels_segment), (2, 256));
+        assert_eq!(
+            (label.live_preset, label.live_n, label.live_seed),
+            (Preset::Oral, 880, 42)
+        );
+        assert_eq!(
+            (label.retrain_trigger, label.retrain_votes),
+            (Trigger::Votes, 400)
+        );
+        assert_eq!((label.retrain_epochs, label.compact), (10, true));
+
+        // benchmark/src/serving.rs, traced and untraced.
+        let served =
+            serve("--checkpoint w/model.rllckpt --trace-out w/trace.jsonl --addr 127.0.0.1:0");
+        assert_eq!(served.trace_out.as_deref(), Some("w/trace.jsonl"));
+        assert_eq!(
+            serve("--checkpoint w/model.rllckpt --addr 127.0.0.1:0").trace_out,
+            None
+        );
+    }
+
+    #[test]
+    fn train_demo_lines_parse() {
+        let parse = |line: &str| parse_train_demo(&argv(line)).expect("train-demo parses");
+        assert_eq!(
+            parse("--out s/smoke.rllckpt --n 80 --epochs 5 --seed 42 --profile"),
+            TrainDemoArgs {
+                out: "s/smoke.rllckpt".into(),
+                n: 80,
+                epochs: 5,
+                seed: 42,
+                profile: true,
+            }
+        );
+        let readme = parse("--out results/demo.rllckpt");
+        assert_eq!(
+            (readme.n, readme.epochs, readme.seed, readme.profile),
+            (240, 20, 42, false)
+        );
+    }
+
+    #[test]
+    fn removed_flags_are_unknown() {
+        for flag in [
+            "--workers",
+            "--batch",
+            "--queue",
+            "--cache",
+            "--labels-estimator",
+            "--retrain-drift",
+            "--retrain-disagreement",
+            "--retrain-weighting",
+            "--retrain-spam-threshold",
+            "--retrain-spam-min-votes",
+        ] {
+            let err = parse_serve(&argv(&format!("--checkpoint c {flag} 1"))).unwrap_err();
+            assert_eq!(err, format!("unknown flag: {flag}"));
+        }
+        let err = parse_train_demo(&argv("--preset oral")).unwrap_err();
+        assert_eq!(err, "unknown flag: --preset");
+    }
+
+    #[test]
+    fn bad_values_fail_at_parse_time() {
+        for (line, want) in [
+            (
+                "--retrain-trigger x",
+                r#"--retrain-trigger must be votes|drift, got "x""#,
+            ),
+            (
+                "--compact maybe",
+                r#"--compact must be on|off, got "maybe""#,
+            ),
+            (
+                "--live-preset foo",
+                r#"--live-preset must be oral|class, got "foo""#,
+            ),
+            ("--live-n many", "invalid --live-n"),
+            ("--retrain-votes", "--retrain-votes requires a value"),
+        ] {
+            let err = parse_serve(&argv(&format!("--checkpoint c {line}"))).unwrap_err();
+            assert_eq!(err, want);
+        }
+        assert_eq!(parse_serve(&[]).unwrap_err(), "--checkpoint is required");
+        assert_eq!(
+            parse_train_demo(&argv("--epochs -1")).unwrap_err(),
+            "invalid --epochs"
+        );
     }
 }

@@ -53,6 +53,16 @@ echo "== benchmark package (build + test against the workspace crates) =="
 CARGO_TARGET_DIR=.bench_build cargo test --release --locked --offline \
     --manifest-path benchmark/Cargo.toml
 
+echo "== traced ledger (every per-layer metric present and finite) =="
+# The traced run exits 0 even when a layer is missing: an absent trace phase
+# becomes a note and an absent profile frame reads 0, so a ratio built on it
+# prints as null. --validate fails unless the result line carries every
+# per-layer metric BENCHMARK.json names, finite and in its unit.
+LEDGER_TMP=$(mktemp -d)
+CARGO_TARGET_DIR=.bench_build bash benchmark/run.sh --trace 1 --out "$LEDGER_TMP/ledger.json"
+.bench_build/release/rll-benchmark --validate "$LEDGER_TMP/ledger.json"
+rm -rf "$LEDGER_TMP"
+
 echo "== serve smoke test =="
 # One real round trip through the serving stack: train a tiny checkpoint,
 # serve it on an ephemeral port, fire a seeded load burst, shut down. Gates
