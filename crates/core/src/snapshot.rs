@@ -16,7 +16,8 @@
 //! [`open_header`] is steps 1–2 and [`verify_payload`] step 3, for the WAL:
 //! an open segment has no checksum, and a sealed one is checked after its
 //! record lines, against the hash the scan of those lines took.
-//! [`atomic_write`] is the crash-safe writer for all four.
+//! [`atomic_write`] is the crash-safe writer for all four, and [`sync_dir`]
+//! makes a directory's changed entries durable.
 
 use rll_tensor::hash::fnv1a;
 use serde::{Deserialize, Serialize};
@@ -175,7 +176,9 @@ pub fn open<H: SealedHeader, P: Deserialize>(bytes: &[u8]) -> Result<(H, P), Sna
 /// temporary is renamed over `path` — rename within one filesystem is atomic
 /// on POSIX. A crash mid-write leaves at worst a stale `.tmp.<pid>` sibling,
 /// never a truncated snapshot, which is what lets training resume trust any
-/// `.rllstate` it finds (the checksum then catches on-disk bit rot).
+/// `.rllstate` it finds (the checksum then catches on-disk bit rot). The
+/// parent directory is fsynced after the rename, so a power cut cannot lose
+/// the new entry once this returns.
 pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
     let path = path.as_ref();
     let file_name = path.file_name().ok_or_else(|| {
@@ -203,13 +206,20 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
         // Flush file content to stable storage *before* the rename publishes
         // it; otherwise a crash could expose a complete-looking empty file.
         file.sync_all()?;
-        fs::rename(&tmp, path)
+        fs::rename(&tmp, path)?;
+        sync_dir(&dir)
     })();
     if write_result.is_err() {
         // Best-effort cleanup; the original error is the one worth reporting.
         let _ = fs::remove_file(&tmp);
     }
     write_result
+}
+
+/// fsyncs directory `dir`, so the entries a create, rename or delete changed
+/// in it survive a power cut (a file's own fsync does not cover its name).
+pub fn sync_dir(dir: &Path) -> io::Result<()> {
+    fs::File::open(dir)?.sync_all()
 }
 
 #[cfg(test)]

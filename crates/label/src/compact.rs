@@ -48,7 +48,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use rll_core::snapshot::{atomic_write, open, seal, SealedHeader};
+use rll_core::snapshot::{atomic_write, open, seal, sync_dir, SealedHeader};
 use rll_crowd::ConfidenceEstimator;
 use serde::{Deserialize, Serialize};
 
@@ -442,6 +442,10 @@ pub fn compact_wal(
                 _ => {}
             }
         }
+    }
+    if stats.segments_deleted > 0 {
+        // One directory fsync makes every delete above durable.
+        sync_dir(config.dir()).map_err(|e| LabelError::io(config.dir(), "fsync dir", e))?;
     }
     stats.wal_bytes_after = wal_dir_bytes(config)?;
     Ok(stats)

@@ -1,16 +1,16 @@
 //! Micro-batched inference engine.
 //!
 //! A fixed pool of `std::thread` workers drains a **bounded** request queue.
-//! Each wake-up coalesces up to `max_batch` pending feature vectors into one
-//! matrix and runs a single [`RllModel::embed`] forward pass — the matmul
-//! then amortizes per-call overhead across the batch. Because every output
-//! row of the forward pass depends only on its own input row, batched and
-//! unbatched inference produce **bit-identical** embeddings (a property the
-//! integration tests pin down with exact float equality).
+//! A request's cache misses form **one** job (one wake-up, one reply). Each
+//! wake-up takes whole jobs while their rows fit in `max_batch` (at least one,
+//! so a larger request runs alone) and runs one [`RllModel::embed`] forward
+//! pass, which amortizes per-call overhead. Every output row depends only on
+//! its own input row, so batched and unbatched inference produce
+//! **bit-identical** embeddings (the tests pin this with exact float equality).
 //!
-//! Backpressure: when the queue is at capacity, [`InferenceEngine::embed`]
-//! fails fast with [`ServeError::QueueFull`] instead of growing without
-//! bound; the HTTP layer maps that to `503` so clients retry with jitter.
+//! Backpressure: a request is admitted while fewer than `queue_capacity`
+//! rows are queued; otherwise [`InferenceEngine::embed`] fails fast with
+//! [`ServeError::QueueFull`], which the HTTP layer maps to `503`.
 //!
 //! Caching: results are memoized in a hand-rolled [`LruCache`] keyed on the
 //! FNV-1a hash of the *raw* feature vector, so repeated queries skip the
@@ -49,10 +49,10 @@ use std::thread::JoinHandle;
 pub struct EngineConfig {
     /// Worker threads draining the queue.
     pub workers: usize,
-    /// Bounded queue capacity; submissions beyond it are rejected
-    /// ([`ServeError::QueueFull`]).
+    /// Bounded queue capacity in rows; a request that arrives while this
+    /// many rows are queued is rejected ([`ServeError::QueueFull`]).
     pub queue_capacity: usize,
-    /// Maximum feature vectors coalesced into one forward pass.
+    /// Maximum rows coalesced into one forward pass; a larger request runs alone.
     pub max_batch: usize,
     /// LRU embedding-cache entries (0 disables caching).
     pub cache_capacity: usize,
@@ -122,10 +122,12 @@ impl ServingModel {
     }
 }
 
+/// One request's cache misses.
 struct Job {
+    /// The missed rows, row-major, and their cache keys.
     features: Vec<f64>,
-    key: u64,
-    reply: mpsc::Sender<Result<Vec<f64>>>,
+    keys: Vec<u64>,
+    reply: mpsc::Sender<Result<Vec<Vec<f64>>>>,
     /// Request trace this job belongs to; disabled contexts make every
     /// `record` a no-op, so the field costs two words + a null `Arc`.
     trace: TraceCtx,
@@ -146,8 +148,15 @@ fn queue_wait_ms_bounds() -> Vec<f64> {
         .collect()
 }
 
+/// Pending jobs and the rows they hold: admission and batching count rows.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    rows: usize,
+}
+
 struct Shared {
-    queue: OrderedMutex<VecDeque<Job>>,
+    queue: OrderedMutex<Queue>,
     not_empty: OrderedCondvar,
     shutdown: AtomicBool,
     model: OrderedRwLock<Arc<ServingModel>>,
@@ -182,7 +191,7 @@ impl InferenceEngine {
     pub fn start(model: ServingModel, config: EngineConfig, recorder: Recorder) -> Result<Self> {
         config.validate()?;
         let shared = Arc::new(Shared {
-            queue: OrderedMutex::new("queue", 30, VecDeque::with_capacity(config.queue_capacity)),
+            queue: OrderedMutex::new("queue", 30, Queue::default()),
             not_empty: OrderedCondvar::new(),
             shutdown: AtomicBool::new(false),
             model: OrderedRwLock::new("model", 20, Arc::new(model)),
@@ -242,51 +251,26 @@ impl InferenceEngine {
 
     /// [`embed`](Self::embed) with a request trace: queue-wait, batch
     /// assembly, forward (or cache-hit) phases land in `trace`.
-    pub fn embed_traced(&self, features: Vec<f64>, trace: &TraceCtx) -> Result<Vec<f64>> {
-        let rx = self.submit(features, trace)?;
-        match rx {
-            Submitted::Cached(hit) => Ok(hit),
-            Submitted::Pending(rx) => rx
-                .recv()
-                .map_err(|_| ServeError::EngineShutdown)
-                .and_then(|r| r),
-        }
+    pub fn embed_traced(&self, mut features: Vec<f64>, trace: &TraceCtx) -> Result<Vec<f64>> {
+        self.embed_rows(std::slice::from_mut(&mut features), trace)?;
+        Ok(features)
     }
 
-    /// Embeds several vectors, preserving order. Each row rides the shared
-    /// micro-batching queue, so concurrent calls coalesce.
+    /// Embeds several vectors, preserving order. The cache misses ride the
+    /// shared micro-batching queue as one job, so concurrent calls coalesce.
     pub fn embed_many(&self, rows: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>> {
         self.embed_many_traced(rows, &TraceCtx::disabled(0, 0))
     }
 
-    /// [`embed_many`](Self::embed_many) with a request trace shared by every
-    /// row (phases of different rows are distinguishable by start time only).
+    /// [`embed_many`](Self::embed_many) with a request trace: a cache-hit phase
+    /// per hit, and one queue-wait, batch-assembly and forward phase for the misses.
     pub fn embed_many_traced(
         &self,
-        rows: Vec<Vec<f64>>,
+        mut rows: Vec<Vec<f64>>,
         trace: &TraceCtx,
     ) -> Result<Vec<Vec<f64>>> {
-        if rows.is_empty() {
-            return Err(ServeError::InvalidRequest {
-                reason: "empty feature batch".into(),
-            });
-        }
-        // Submit everything first so one wave of workers can coalesce it…
-        let pending: Vec<Submitted> = rows
-            .into_iter()
-            .map(|row| self.submit(row, trace))
-            .collect::<Result<_>>()?;
-        // …then collect in submission order.
-        pending
-            .into_iter()
-            .map(|p| match p {
-                Submitted::Cached(hit) => Ok(hit),
-                Submitted::Pending(rx) => rx
-                    .recv()
-                    .map_err(|_| ServeError::EngineShutdown)
-                    .and_then(|r| r),
-            })
-            .collect()
+        self.embed_rows(&mut rows, trace)?;
+        Ok(rows)
     }
 
     /// Cosine relevance between the embeddings of two raw feature vectors —
@@ -328,70 +312,91 @@ impl InferenceEngine {
         }
         // Anything still queued will never be drained: fail it explicitly.
         let mut queue = self.shared.queue.lock();
-        for job in queue.drain(..) {
+        queue.rows = 0;
+        for job in queue.jobs.drain(..) {
             let _ = job.reply.send(Err(ServeError::EngineShutdown));
         }
     }
 
-    fn submit(&self, features: Vec<f64>, trace: &TraceCtx) -> Result<Submitted> {
+    /// Replaces every raw row with its embedding, in place: all rows are checked
+    /// first, hits come from the cache, and all misses go to the workers as one job.
+    fn embed_rows(&self, rows: &mut [Vec<f64>], trace: &TraceCtx) -> Result<()> {
+        if rows.is_empty() {
+            return Err(ServeError::InvalidRequest {
+                reason: "empty feature batch".into(),
+            });
+        }
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return Err(ServeError::EngineShutdown);
         }
         let expected = self.shared.model().input_dim();
-        if features.len() != expected {
-            return Err(ServeError::DimMismatch {
-                what: "request feature vector",
-                expected,
-                actual: features.len(),
-            });
-        }
-        if features.iter().any(|v| !v.is_finite()) {
-            return Err(ServeError::InvalidRequest {
-                reason: "features must be finite".into(),
-            });
+        for row in rows.iter() {
+            if row.len() != expected {
+                return Err(ServeError::DimMismatch {
+                    what: "request feature vector",
+                    expected,
+                    actual: row.len(),
+                });
+            }
+            if row.iter().any(|v| !v.is_finite()) {
+                return Err(ServeError::InvalidRequest {
+                    reason: "features must be finite".into(),
+                });
+            }
         }
         let metrics = self.shared.recorder.metrics();
-        let key = fnv1a_f64s(&features);
-        let lookup_start = trace.now();
-        let lookup = Stopwatch::start();
-        if let Some(hit) = self.shared.cache.lock().get(key) {
-            let secs = lookup.elapsed_secs();
-            metrics.counter("serve.cache.hits").inc();
-            metrics
-                .latency_histogram("serve.phase.cache_hit")
-                .observe(secs);
-            trace.record(Phase::CacheHit, lookup_start, secs);
-            return Ok(Submitted::Cached(hit));
+        let (mut misses, mut keys, mut features) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, row) in rows.iter_mut().enumerate() {
+            let key = fnv1a_f64s(row);
+            let lookup_start = trace.now();
+            let lookup = Stopwatch::start();
+            if let Some(hit) = self.shared.cache.lock().get(key) {
+                let secs = lookup.elapsed_secs();
+                metrics.counter("serve.cache.hits").inc();
+                metrics
+                    .latency_histogram("serve.phase.cache_hit")
+                    .observe(secs);
+                trace.record(Phase::CacheHit, lookup_start, secs);
+                *row = hit;
+            } else {
+                metrics.counter("serve.cache.misses").inc();
+                misses.push(i);
+                keys.push(key);
+                features.extend_from_slice(row);
+            }
         }
-        metrics.counter("serve.cache.misses").inc();
+        if misses.is_empty() {
+            return Ok(());
+        }
         let (tx, rx) = mpsc::channel();
         {
             let mut queue = self.shared.queue.lock();
-            if queue.len() >= self.shared.config.queue_capacity {
+            let capacity = self.shared.config.queue_capacity;
+            if queue.rows >= capacity {
                 metrics.counter("serve.queue.rejected").inc();
-                return Err(ServeError::QueueFull {
-                    capacity: self.shared.config.queue_capacity,
-                });
+                return Err(ServeError::QueueFull { capacity });
             }
-            queue.push_back(Job {
+            queue.rows += keys.len();
+            metrics.gauge("serve.queue.depth").set(queue.rows as f64);
+            queue.jobs.push_back(Job {
                 features,
-                key,
+                keys,
                 reply: tx,
                 trace: trace.clone(),
                 queued_at: trace.now(),
                 queued: Stopwatch::start(),
             });
-            metrics.gauge("serve.queue.depth").set(queue.len() as f64);
         }
-        metrics.counter("serve.queue.submitted").inc();
+        metrics
+            .counter("serve.queue.submitted")
+            .add(misses.len() as u64);
         self.shared.not_empty.notify_one();
-        Ok(Submitted::Pending(rx))
+        let embedded = rx.recv().map_err(|_| ServeError::EngineShutdown)??;
+        for (i, row) in misses.into_iter().zip(embedded) {
+            rows[i] = row;
+        }
+        Ok(())
     }
-}
-
-enum Submitted {
-    Cached(Vec<f64>),
-    Pending(mpsc::Receiver<Result<Vec<f64>>>),
 }
 
 fn worker_loop(shared: &Shared) {
@@ -406,23 +411,32 @@ fn worker_loop(shared: &Shared) {
         forward: metrics.latency_histogram("serve.phase.forward"),
     };
     loop {
-        let jobs = {
+        let (jobs, rows) = {
             let mut queue = shared.queue.lock();
-            while queue.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
+            while queue.jobs.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
                 queue = shared.not_empty.wait(queue);
             }
-            if queue.is_empty() {
+            if queue.jobs.is_empty() {
                 // Shutdown with nothing left to drain.
                 return;
             }
-            let take = queue.len().min(shared.config.max_batch);
-            let jobs: Vec<Job> = queue.drain(..take).collect();
-            metrics.gauge("serve.queue.depth").set(queue.len() as f64);
-            jobs
+            // Whole jobs while their rows fit in `max_batch`, and always the
+            // first one, so a request larger than a batch runs alone.
+            let (mut take, mut rows) = (0, 0);
+            for job in &queue.jobs {
+                if take > 0 && rows + job.keys.len() > shared.config.max_batch {
+                    break;
+                }
+                take += 1;
+                rows += job.keys.len();
+            }
+            queue.rows -= rows;
+            metrics.gauge("serve.queue.depth").set(queue.rows as f64);
+            (queue.jobs.drain(..take).collect::<Vec<Job>>(), rows)
         };
-        batch_sizes.observe(jobs.len() as f64);
+        batch_sizes.observe(rows as f64);
         metrics.counter("serve.engine.batches").inc();
-        run_batch(shared, jobs, &phase_timers);
+        run_batch(shared, jobs, rows, &phase_timers);
     }
 }
 
@@ -434,9 +448,9 @@ struct PhaseTimers {
     forward: Histogram,
 }
 
-/// One coalesced forward pass; fans results (or the failure) back out to
-/// every job in the batch and feeds the cache.
-fn run_batch(shared: &Shared, jobs: Vec<Job>, timers: &PhaseTimers) {
+/// One coalesced forward pass over `rows` rows; fans results (or the
+/// failure) back out to every job in the batch and feeds the cache.
+fn run_batch(shared: &Shared, jobs: Vec<Job>, rows: usize, timers: &PhaseTimers) {
     let _span = shared.recorder.span("serve.batch");
     // Queue wait ends now for every job in the batch: one histogram sample
     // per job (milliseconds) plus a trace phase where tracing is on.
@@ -450,11 +464,11 @@ fn run_batch(shared: &Shared, jobs: Vec<Job>, timers: &PhaseTimers) {
     let model = shared.model();
     let dim = model.input_dim();
     let assembly = Stopwatch::start();
-    let mut data = Vec::with_capacity(jobs.len() * dim);
+    let mut data = Vec::with_capacity(rows * dim);
     for job in &jobs {
         data.extend_from_slice(&job.features);
     }
-    let batch = match Matrix::from_vec(jobs.len(), dim, data) {
+    let batch = match Matrix::from_vec(rows, dim, data) {
         Ok(m) => m,
         Err(e) => {
             for job in jobs {
@@ -484,10 +498,14 @@ fn run_batch(shared: &Shared, jobs: Vec<Job>, timers: &PhaseTimers) {
     match result {
         Ok(embeddings) => {
             let mut cache = shared.cache.lock();
-            for (i, job) in jobs.into_iter().enumerate() {
-                let row = embeddings.row(i).map(<[f64]>::to_vec).unwrap_or_default();
-                cache.insert(job.key, row.clone());
-                let _ = job.reply.send(Ok(row));
+            let mut out =
+                (0..rows).map(|i| embeddings.row(i).map(<[f64]>::to_vec).unwrap_or_default());
+            for job in jobs {
+                let embedded = job.keys.iter().zip(&mut out).map(|(&key, row)| {
+                    cache.insert(key, row.clone());
+                    row
+                });
+                let _ = job.reply.send(Ok(embedded.collect()));
             }
         }
         Err(e) => {
@@ -709,6 +727,141 @@ mod tests {
         ));
         assert_eq!(eng.embed(vec![1.0, 2.0]).unwrap().len(), 2);
         assert_eq!(eng.model().embedding_dim(), 2);
+        eng.shutdown();
+    }
+
+    /// A seeded model larger than `tiny_model`, so the forward runs real
+    /// multi-column tiles, and `n` seeded raw rows for it.
+    fn seeded_model_and_rows(n: usize) -> (ServingModel, Vec<Vec<f64>>) {
+        let mut rng = Rng64::seed_from_u64(31);
+        let config = RllModelConfig {
+            hidden_dims: vec![24, 20],
+            embedding_dim: 16,
+            ..RllModelConfig::for_input(12)
+        };
+        let model = RllModel::new(config, &mut rng).unwrap();
+        let fit = Matrix::from_fn(40, 12, |_, _| rng.standard_normal() * 3.0);
+        let normalizer = Normalizer::fit(&fit).unwrap();
+        let rows = (0..n)
+            .map(|_| (0..12).map(|_| rng.standard_normal() * 2.0).collect())
+            .collect();
+        (ServingModel { model, normalizer }, rows)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The byte contract coalescing rests on: a row's embedding has the same
+    /// bits alone and at every position of every batch of 1-16 rows (and of
+    /// a 40-row request, which runs as one forward).
+    #[test]
+    fn each_row_embeds_bit_identically_alone_and_in_any_batch() {
+        let (model, rows) = seeded_model_and_rows(40);
+        let alone: Vec<Vec<u64>> = rows
+            .iter()
+            .map(|row| {
+                let out = model
+                    .embed_matrix(&Matrix::from_rows(std::slice::from_ref(row)).unwrap())
+                    .unwrap();
+                bits(out.row(0).unwrap())
+            })
+            .collect();
+        for size in (1..=16).chain([40]) {
+            // Slide the window so every row sits at every position it can.
+            for first in 0..=rows.len() - size {
+                let batch = Matrix::from_rows(&rows[first..first + size]).unwrap();
+                let out = model.embed_matrix(&batch).unwrap();
+                for pos in 0..size {
+                    assert_eq!(
+                        bits(out.row(pos).unwrap()),
+                        alone[first + pos],
+                        "row {} at {pos}/{size}",
+                        first + pos
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn embed_many_mixing_hits_misses_and_duplicates_matches_single_rows() {
+        let (model, rows) = seeded_model_and_rows(6);
+        let eng =
+            InferenceEngine::start(model.clone(), EngineConfig::default(), Recorder::disabled())
+                .unwrap();
+        // Rows 0 and 3 are cached first; row 1 appears twice in one request.
+        eng.embed(rows[0].clone()).unwrap();
+        eng.embed(rows[3].clone()).unwrap();
+        let request: Vec<Vec<f64>> = [1, 0, 2, 1, 3, 4, 5]
+            .iter()
+            .map(|&i| rows[i].clone())
+            .collect();
+        let got = eng.embed_many(request.clone()).unwrap();
+        assert_eq!(eng.cache_stats(), (2, 7)); // two warm-up misses, five here
+        let fresh =
+            InferenceEngine::start(model, EngineConfig::default(), Recorder::disabled()).unwrap();
+        for (row, embedding) in request.into_iter().zip(&got) {
+            let single = fresh.embed(row).unwrap();
+            assert_eq!(bits(&single), bits(embedding));
+        }
+        eng.shutdown();
+        fresh.shutdown();
+    }
+
+    #[test]
+    fn request_larger_than_batch_and_queue_runs_alone() {
+        let (model, rows) = seeded_model_and_rows(40);
+        let eng = InferenceEngine::start(
+            model,
+            EngineConfig {
+                workers: 1,
+                max_batch: 16,
+                queue_capacity: 8,
+                cache_capacity: 0,
+            },
+            Recorder::disabled(),
+        )
+        .unwrap();
+        let got = eng.embed_many(rows.clone()).unwrap();
+        assert_eq!(got.len(), 40);
+        for (row, embedding) in rows.into_iter().zip(&got) {
+            assert_eq!(&eng.embed(row).unwrap(), embedding);
+        }
+        eng.shutdown();
+    }
+
+    #[test]
+    fn batch_size_histogram_counts_rows() {
+        let recorder = Recorder::disabled();
+        let (model, rows) = seeded_model_and_rows(5);
+        let eng = InferenceEngine::start(model, EngineConfig::default(), recorder.clone()).unwrap();
+        eng.embed_many(rows).unwrap();
+        let snap = recorder.metrics().snapshot();
+        let sizes = &snap.histograms["serve.batch.size"];
+        assert_eq!((sizes.count, sizes.sum), (1, 5.0));
+        assert_eq!(snap.counters["serve.queue.submitted"], 5);
+        eng.shutdown();
+    }
+
+    #[test]
+    fn admission_counts_queued_rows() {
+        let (model, rows) = seeded_model_and_rows(3);
+        let config = EngineConfig {
+            queue_capacity: 8,
+            ..EngineConfig::default()
+        };
+        let eng = InferenceEngine::start(model, config, Recorder::disabled()).unwrap();
+        // Rows queued without a job: workers stay asleep, admission sees them.
+        eng.shared.queue.lock().rows = 8;
+        assert!(matches!(
+            eng.embed_many(rows.clone()),
+            Err(ServeError::QueueFull { capacity: 8 })
+        ));
+        // One row of room admits a request of any size.
+        eng.shared.queue.lock().rows = 7;
+        assert_eq!(eng.embed_many(rows).unwrap().len(), 3);
+        assert_eq!(eng.shared.queue.lock().rows, 7);
         eng.shutdown();
     }
 

@@ -12,9 +12,9 @@
 //!    with typed errors for version, checksum, and dimension mismatches.
 //! 2. **[`engine`]** — an [`InferenceEngine`]: a `std::thread` worker pool
 //!    over a *bounded* request queue (backpressure via
-//!    [`ServeError::QueueFull`]), micro-batching up to `max_batch` pending
-//!    vectors into one forward matmul, and a hand-rolled [`lru::LruCache`]
-//!    keyed on FNV-1a feature hashes.
+//!    [`ServeError::QueueFull`]) that holds one job per request, batching
+//!    whole jobs up to `max_batch` rows into one forward matmul, and a
+//!    hand-rolled [`lru::LruCache`] keyed on FNV-1a feature hashes.
 //! 3. **[`http`] / [`server`]** — a zero-dependency HTTP/1.1 server on
 //!    `std::net::TcpListener` exposing `POST /embed`, `POST /score`,
 //!    `GET /healthz`, `GET /metrics` (rll-obs counters, batch sizes,

@@ -31,7 +31,7 @@ use crate::Result;
 use rll_obs::{EventKind, Phase, Recorder, SpanTimer, Stopwatch, TraceCtx};
 use rll_par::OrderedRwLock;
 use serde::{Deserialize, Serialize};
-use std::io::BufReader;
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -289,10 +289,11 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
     let conn_seq = ctx.connections.fetch_add(1, Ordering::Relaxed);
     let mut req_seq: u64 = 0;
     loop {
-        // The trace clock starts before the read, so a request's `parse`
-        // phase covers receiving and parsing its bytes. Under keep-alive
-        // that includes any idle gap since the previous response: a long
-        // parse phase means a slow (or idle) client, not server work.
+        // The trace clock starts at the request's first byte, so a keep-alive
+        // idle gap stays out of `parse`; EOF or a read error ends the connection.
+        let Ok([_, ..]) = reader.fill_buf() else {
+            return;
+        };
         let trace = if ctx.trace {
             TraceCtx::recording(conn_seq, req_seq)
         } else {

@@ -523,6 +523,74 @@ fn every_request_emits_exactly_one_complete_trace() {
 }
 
 #[test]
+fn idle_time_before_a_request_stays_out_of_its_parse_phase() {
+    let sink = std::sync::Arc::new(rll_obs::MemorySink::new());
+    let recorder = Recorder::new("trace-idle", vec![Box::new(sink.clone())]);
+    let engine = InferenceEngine::start(
+        ServingModel::from_checkpoint(test_checkpoint(23)),
+        EngineConfig::default(),
+        recorder.clone(),
+    )
+    .expect("engine");
+    let server = EmbedServer::start(
+        engine.clone(),
+        ServerConfig {
+            trace: true,
+            ..ServerConfig::default()
+        },
+        recorder,
+        "trace-idle",
+    )
+    .expect("server");
+
+    // Idle 50 ms after connecting, and again between two keep-alive requests.
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let body = r#"{"features":[[0.25,1.0,-2.0]]}"#;
+    let raw = format!(
+        "POST /embed HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    for _ in 0..2 {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        writer.write_all(raw.as_bytes()).expect("write");
+        let response = http::read_response(&mut reader).expect("response");
+        assert_eq!(response.status, 200);
+    }
+
+    let parse_secs = || -> Vec<f64> {
+        sink.events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                rll_obs::EventKind::Trace(t) => t.phases.into_iter().find(|p| p.phase == "parse"),
+                _ => None,
+            })
+            .map(|p| p.secs)
+            .collect()
+    };
+    let mut parses = parse_secs();
+    for _ in 0..400 {
+        if parses.len() >= 2 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        parses = parse_secs();
+    }
+    assert_eq!(parses.len(), 2, "one parse phase per request");
+    for secs in parses {
+        assert!(
+            secs < 0.025,
+            "parse phase took {secs} s, so it holds the idle gap"
+        );
+    }
+
+    server.shutdown();
+    engine.shutdown();
+}
+
+#[test]
 fn untraced_server_still_sends_deterministic_trace_header() {
     let h = Harness::start(22, ServerConfig::default());
     let response = h.roundtrip("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
