@@ -46,7 +46,7 @@ pub use confidence::{ConfidenceTracker, ExampleConfidence, LabelsSnapshot, LABEL
 pub use error::{LabelError, Result};
 pub use retrain::{
     read_manifest, write_manifest, PublishSink, RetrainBase, RetrainConfig, RetrainManifest,
-    RetrainShared, RetrainStatus, RetrainTrigger, Retrainer, WorkerWeighting, MANIFEST_SCHEMA,
+    RetrainShared, RetrainStatus, RetrainTrigger, Retrainer, MANIFEST_SCHEMA,
 };
 pub use store::{DedupMap, IngestReceipt, LabelStore, LabelStoreConfig, DEFAULT_DEDUP_CAPACITY};
 pub use wal::{

@@ -4,8 +4,8 @@
 //! votes accumulate it folds them into the base dataset, retrains the
 //! pipeline (checkpointing `.rllstate` snapshots on a cadence), evaluates
 //! against expert labels when available, and hands the fitted pipeline to a
-//! [`PublishSink`] — in the serving binary, that writes an atomic `.rllckpt`
-//! and hot-swaps it through `POST /reload`.
+//! [`PublishSink`] — in the serving binary, that writes an atomic `.rllckpt`,
+//! reads it back, and hot-swaps the engine's model in process.
 //!
 //! ## Crash contract
 //!
@@ -28,11 +28,11 @@
 //! examples sit to δ = ½). Votes that merely re-confirm settled examples no
 //! longer force a round; votes that flip or contest labels do.
 //!
-//! When [`RetrainConfig::weighting`] is set, each round first fits a
+//! When [`RetrainConfig::weighting`] is on, each round first fits a
 //! Dawid–Skene model over the live votes alone and derives per-worker
-//! quality ([`rll_crowd::worker_qualities`]); live annotators whose fitted
-//! confusion rows carry no signal (informativeness below the spam
-//! threshold) are excluded from the fold. The exclusion list is pinned in
+//! quality ([`rll_crowd::worker_qualities`]); live annotators with at least
+//! 3 votes whose fitted confusion rows carry no signal (informativeness
+//! below 0.2) are excluded from the fold. The exclusion list is pinned in
 //! the round manifest so crash recovery rebuilds the exact same fold.
 //!
 //! ## Locks
@@ -158,30 +158,15 @@ impl RetrainTrigger {
     }
 }
 
-/// Worker-quality weighting policy for the fold.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerWeighting {
-    /// Live workers with Dawid–Skene informativeness below this are
-    /// excluded from the fold (0.2 is the usual operating point).
-    pub spam_threshold: f64,
-    /// Workers with fewer live votes than this are never excluded — too
-    /// little evidence to call anyone a spammer.
-    pub min_votes: u64,
-}
-
-impl WorkerWeighting {
-    fn validate(&self) -> Result<()> {
-        if !(self.spam_threshold.is_finite() && (0.0..=1.0).contains(&self.spam_threshold)) {
-            return Err(LabelError::InvalidConfig {
-                reason: format!(
-                    "spam threshold must be within [0, 1], got {}",
-                    self.spam_threshold
-                ),
-            });
-        }
-        Ok(())
-    }
-}
+/// Live workers with Dawid–Skene informativeness below this are excluded
+/// from a weighted fold.
+const SPAM_THRESHOLD: f64 = 0.2;
+/// Workers with fewer live votes than this are never excluded — too little
+/// evidence to call anyone a spammer.
+const SPAM_MIN_VOTES: u64 = 3;
+/// A round snapshots its `.rllstate` after every epoch, so a crash loses at
+/// most one epoch of training.
+const SNAPSHOT_EVERY_EPOCHS: usize = 1;
 
 /// Static retrain policy.
 #[derive(Debug, Clone)]
@@ -192,8 +177,9 @@ pub struct RetrainConfig {
     pub base_seed: u64,
     /// What fires a round.
     pub trigger: RetrainTrigger,
-    /// Worker-quality weighting for the fold; `None` folds every vote.
-    pub weighting: Option<WorkerWeighting>,
+    /// Exclude live workers that look like spammers from the fold; `false`
+    /// folds every vote.
+    pub weighting: bool,
     /// Compact the WAL below the manifest's `folded_seq` after every
     /// completed round.
     pub auto_compact: bool,
@@ -203,10 +189,6 @@ pub struct RetrainConfig {
     pub state_path: PathBuf,
     /// Where the round manifest lives.
     pub manifest_path: PathBuf,
-    /// Checkpoint cadence in epochs.
-    pub snapshot_every_epochs: usize,
-    /// Trainer thread override (`None` inherits `RLL_THREADS`).
-    pub threads: Option<usize>,
 }
 
 /// The frozen training substrate votes are folded into.
@@ -221,7 +203,7 @@ pub struct RetrainBase {
 }
 
 /// Where a round's fitted pipeline goes. The serving binary's sink writes an
-/// atomic checkpoint and POSTs `/reload` over loopback.
+/// atomic checkpoint and reloads the engine from it in process.
 pub trait PublishSink: Send {
     /// Publishes one round's pipeline. An `Err` fails the round (the
     /// manifest stays incomplete, so restart retries it).
@@ -306,9 +288,6 @@ impl Retrainer {
         publish: Box<dyn PublishSink>,
     ) -> Result<Retrainer> {
         config.trigger.validate()?;
-        if let Some(weighting) = &config.weighting {
-            weighting.validate()?;
-        }
         if base.features.rows() != base.annotations.num_items() {
             return Err(LabelError::InvalidConfig {
                 reason: format!(
@@ -495,7 +474,6 @@ fn excluded_workers(
     tracker: &ConfidenceTracker,
     num_examples: u64,
     max_workers: u32,
-    weighting: &WorkerWeighting,
     recorder: &Recorder,
 ) -> Result<Vec<u32>> {
     let live = tracker.live_matrix(num_examples, max_workers)?;
@@ -512,11 +490,11 @@ fn excluded_workers(
         }
     };
     let mut excluded = Vec::new();
-    for spammer in rll_crowd::detect_spammers(&qualities, weighting.spam_threshold) {
+    for spammer in rll_crowd::detect_spammers(&qualities, SPAM_THRESHOLD) {
         let enough_votes = qualities
             .iter()
             .find(|q| q.worker == spammer)
-            .is_some_and(|q| q.annotation_count as u64 >= weighting.min_votes);
+            .is_some_and(|q| q.annotation_count as u64 >= SPAM_MIN_VOTES);
         if enough_votes {
             excluded.push(spammer as u32);
         }
@@ -623,15 +601,15 @@ fn run_if_due(
             }
         }
     };
-    let excluded = match &config.weighting {
-        Some(weighting) => excluded_workers(
+    let excluded = if config.weighting {
+        excluded_workers(
             &tracker,
             store.config().num_examples,
             store.config().max_workers,
-            weighting,
             recorder,
-        )?,
-        None => Vec::new(),
+        )?
+    } else {
+        Vec::new()
     };
     let folded =
         tracker.fold_into_filtered(&base.annotations, store.config().max_workers, &excluded)?;
@@ -681,16 +659,15 @@ fn run_round(
     state: Option<TrainState>,
 ) -> Result<(f64, bool, f64)> {
     let clock = Stopwatch::start();
-    let policy = CheckpointPolicy::every(&config.state_path, config.snapshot_every_epochs)
-        .map_err(|e| LabelError::Train {
-            reason: e.to_string(),
+    let policy =
+        CheckpointPolicy::every(&config.state_path, SNAPSHOT_EVERY_EPOCHS).map_err(|e| {
+            LabelError::Train {
+                reason: e.to_string(),
+            }
         })?;
     let mut pipeline = RllPipeline::new(config.train.clone())
         .with_recorder(recorder.clone())
         .with_checkpoint_policy(policy);
-    if let Some(threads) = config.threads {
-        pipeline = pipeline.with_threads(threads);
-    }
     let resumed = state.is_some();
     let fit_result = match state {
         Some(state) => pipeline.resume_fit(&base.features, &folded, state),

@@ -12,7 +12,7 @@ use rll_crowd::{AnnotationMatrix, ConfidenceEstimator};
 use rll_label::{
     read_manifest, write_manifest, LabelStore, LabelStoreConfig, PublishSink, RetrainBase,
     RetrainConfig, RetrainManifest, RetrainStatus, RetrainTrigger, Retrainer, Vote,
-    WorkerWeighting, DEFAULT_DEDUP_CAPACITY, MANIFEST_SCHEMA,
+    DEFAULT_DEDUP_CAPACITY, MANIFEST_SCHEMA,
 };
 use rll_obs::Recorder;
 use rll_tensor::{Matrix, Rng64};
@@ -86,13 +86,11 @@ fn retrain_config(dir: &Path, min_new_votes: u64) -> RetrainConfig {
         train: tiny_train_config(),
         base_seed: 11,
         trigger: RetrainTrigger::Votes { min_new_votes },
-        weighting: None,
+        weighting: false,
         auto_compact: false,
         poll_interval: Duration::from_millis(20),
         state_path: dir.join("retrain.rllstate"),
         manifest_path: dir.join("retrain.manifest.json"),
-        snapshot_every_epochs: 1,
-        threads: Some(1),
     }
 }
 
@@ -315,7 +313,7 @@ fn ingest_spammy_stream(store: &LabelStore, truth: &[u8]) -> u64 {
     ingested
 }
 
-fn run_one_round(dir: &Path, weighting: Option<WorkerWeighting>, truth: &[u8]) -> RetrainStatus {
+fn run_one_round(dir: &Path, weighting: bool, truth: &[u8]) -> RetrainStatus {
     let store = Arc::new(LabelStore::open(store_config(dir), Recorder::disabled()).unwrap());
     let votes = ingest_spammy_stream(&store, truth);
     let (base, _) = weak_base(3);
@@ -345,15 +343,8 @@ fn run_one_round(dir: &Path, weighting: Option<WorkerWeighting>, truth: &[u8]) -
 #[test]
 fn weighting_beats_unweighted_fold_on_spammy_stream() {
     let (_, truth) = weak_base(3);
-    let weighted = run_one_round(
-        &fresh_dir("weight_on"),
-        Some(WorkerWeighting {
-            spam_threshold: 0.2,
-            min_votes: 3,
-        }),
-        &truth,
-    );
-    let unweighted = run_one_round(&fresh_dir("weight_off"), None, &truth);
+    let weighted = run_one_round(&fresh_dir("weight_on"), true, &truth);
+    let unweighted = run_one_round(&fresh_dir("weight_off"), false, &truth);
     // The constant-1 spammers are always excluded; the honest live worker
     // may or may not survive the fit (a spam-majority consensus can drown
     // it), but the spam never reaches the fold.
@@ -379,14 +370,7 @@ fn weighting_beats_unweighted_fold_on_spammy_stream() {
 fn weighting_pins_exclusions_in_manifest() {
     let dir = fresh_dir("weight_manifest");
     let (_, truth) = weak_base(3);
-    let status = run_one_round(
-        &dir,
-        Some(WorkerWeighting {
-            spam_threshold: 0.2,
-            min_votes: 3,
-        }),
-        &truth,
-    );
+    let status = run_one_round(&dir, true, &truth);
     let manifest = read_manifest(&dir.join("retrain.manifest.json"))
         .unwrap()
         .unwrap();

@@ -742,22 +742,23 @@ fn dfs_cycles<'a>(
     }
 }
 
-/// Serializes the graph as deterministic `lock_graph/v1` JSON (stable field
-/// and element order, trailing newline).
+/// Serializes the graph as deterministic `lock_graph/v2` JSON (stable field
+/// and element order, trailing newline). Entries name files but not lines,
+/// so moving code changes the artifact only when the graph itself changes
+/// (edges are already unique per `(from, to, via)`).
 pub fn to_json(graph: &LockGraph) -> String {
     let esc = crate::report::json_string;
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"lock_graph/v1\",\n");
+    out.push_str("{\n  \"schema\": \"lock_graph/v2\",\n");
     out.push_str("  \"locks\": [");
     for (i, l) in graph.locks.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         let _ = write!(
             out,
-            "    {{\"name\": {}, \"rank\": {}, \"file\": {}, \"line\": {}}}",
+            "    {{\"name\": {}, \"rank\": {}, \"file\": {}}}",
             esc(&l.name),
             l.rank,
-            esc(&l.file),
-            l.line
+            esc(&l.file)
         );
     }
     out.push_str("\n  ],\n  \"edges\": [");
@@ -765,12 +766,11 @@ pub fn to_json(graph: &LockGraph) -> String {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         let _ = write!(
             out,
-            "    {{\"from\": {}, \"to\": {}, \"via\": {}, \"file\": {}, \"line\": {}}}",
+            "    {{\"from\": {}, \"to\": {}, \"via\": {}, \"file\": {}}}",
             esc(&e.from),
             esc(&e.to),
             esc(&e.via),
-            esc(&e.file),
-            e.line
+            esc(&e.file)
         );
     }
     out.push_str("\n  ],\n  \"cycles\": [");
@@ -994,7 +994,8 @@ fn init() {
 }
 "#);
         let json = to_json(&graph);
-        assert!(json.contains("\"schema\": \"lock_graph/v1\""));
+        assert!(json.contains("\"schema\": \"lock_graph/v2\""));
+        assert!(!json.contains("\"line\""));
         assert_eq!(json, to_json(&graph));
     }
 }

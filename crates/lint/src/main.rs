@@ -10,7 +10,7 @@
 //! `--out FILE` writes the JSON report to a file (for `results/lint.json`
 //! trend tracking) while keeping the human report on stdout; `--json` swaps
 //! stdout to the JSON report instead. `--lock-graph FILE` writes the
-//! workspace lock graph (`lock_graph/v1`) for diffing against the committed
+//! workspace lock graph (`lock_graph/v2`) for diffing against the committed
 //! `results/lock_graph.json`. `--baseline FILE` enforces the suppression
 //! ratchet against a committed `lint_baseline/v1` file;
 //! `--write-baseline FILE` regenerates that file deliberately.

@@ -137,8 +137,8 @@ fn workspace_lock_graph_is_acyclic_and_matches_committed_artifact() {
     );
     assert!(
         graph.locks.len() >= 5,
-        "the serve rank ladder (workers/model/queue/cache/train_run_id) \
-         should all be declared; found {:?}",
+        "the serve rank ladder (workers/model/queue/cache) and the label \
+         locks should all be declared; found {:?}",
         graph.locks
     );
     // Ranks are strictly increasing in the sorted declaration list — the

@@ -301,5 +301,5 @@ pub fn make() {
         .collect();
     assert_eq!(names, ["first", "zz_hi", "aa_lo"]);
     let json = rll_lint::lockgraph::to_json(&report.lock_graph);
-    assert!(json.contains("\"schema\": \"lock_graph/v1\""));
+    assert!(json.contains("\"schema\": \"lock_graph/v2\""));
 }

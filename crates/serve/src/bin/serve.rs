@@ -16,11 +16,11 @@
 //! the rll-obs run id of the training run into the checkpoint header;
 //! `--profile` turns on the per-epoch self-time profiler (EpochProfile events
 //! in the run JSONL, checkpoint bytes unaffected). The serving mode loads any
-//! checkpoint and listens until killed, with the engine's default workers,
-//! batch, queue and cache sizes; `POST /reload` re-reads the `--checkpoint`
-//! file to hot-swap a newer model without a restart. `--addr` with port 0
-//! binds an ephemeral port; `--port-file` writes the resolved `host:port` so
-//! scripts (e.g. the CI smoke test) can find it. `--trace-out` enables
+//! checkpoint and listens until killed, with the engine's default cache size;
+//! `POST /reload` re-reads the `--checkpoint` file to hot-swap a newer model
+//! without a restart. `--addr` with port 0 binds an ephemeral port;
+//! `--port-file` writes the resolved `host:port` so scripts (e.g. the CI
+//! smoke test) can find it. `--trace-out` enables
 //! request tracing: every request appends one `trace/v1` JSON line to the
 //! given file (checked by `profile --validate`).
 //!
@@ -32,12 +32,12 @@
 //! `train-demo` trains from, so the served checkpoint and the vote stream
 //! agree on example ids. With `--retrain-votes N` a background retrainer
 //! additionally watches the vote stream, folds new votes into the dataset,
-//! retrains, writes the checkpoint atomically, and hot-swaps it through its
-//! own `POST /reload` — the full ingest → retrain → reload loop in one
-//! process. `N` is the new-vote floor; by default the round only fires when
-//! the confidence field actually moved (`--retrain-trigger drift`: summed
-//! drift 4.0 or mean disagreement 0.35), and `--retrain-trigger votes`
-//! restores the fixed every-N behaviour. The fold always weights annotators
+//! retrains, writes the checkpoint atomically, reads it back, and hot-swaps
+//! the engine's model in process — the full ingest → retrain → reload loop
+//! in one process. `N` is the new-vote floor; by default the round only
+//! fires when the confidence field actually moved (`--retrain-trigger
+//! drift`: summed drift 4.0 or mean disagreement 0.35), and
+//! `--retrain-trigger votes` restores the fixed every-N behaviour. The fold always weights annotators
 //! by live Dawid–Skene quality and drops probable spammers (informativeness
 //! below 0.2 after at least 3 votes); after each completed round the WAL
 //! history below the published `folded_seq` is compacted into a checksummed
@@ -261,11 +261,11 @@ fn train_demo(args: &TrainDemoArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Publishes a retrain round by writing the checkpoint atomically and
-/// hot-swapping it through the server's own `POST /reload`.
+/// Publishes a retrain round: writes the checkpoint atomically, reads it
+/// back, and swaps it into the engine.
 struct ReloadSink {
     checkpoint: std::path::PathBuf,
-    addr: std::net::SocketAddr,
+    engine: InferenceEngine,
 }
 
 impl rll_label::PublishSink for ReloadSink {
@@ -275,31 +275,12 @@ impl rll_label::PublishSink for ReloadSink {
         checkpoint
             .save(&self.checkpoint)
             .map_err(|e| format!("checkpoint write: {e}"))?;
-        post_reload(self.addr)
-    }
-}
-
-/// One loopback `POST /reload`, expecting a `200`.
-fn post_reload(addr: std::net::SocketAddr) -> Result<(), String> {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-        .map_err(|e| format!("timeout: {e}"))?;
-    stream
-        .write_all(
-            b"POST /reload HTTP/1.1\r\nHost: localhost\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-        )
-        .map_err(|e| format!("write: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("read: {e}"))?;
-    let status = response.lines().next().unwrap_or("");
-    if status.contains(" 200 ") {
+        // Serve the bytes on disk, as `POST /reload` does, so the live model
+        // is always one a restart would load.
+        let saved =
+            Checkpoint::load(&self.checkpoint).map_err(|e| format!("checkpoint read: {e}"))?;
+        self.engine.reload(ServingModel::from_checkpoint(saved));
         Ok(())
-    } else {
-        Err(format!("reload answered {status:?}"))
     }
 }
 
@@ -360,16 +341,14 @@ fn run_server(args: &ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
         None => None,
     };
 
-    let server = EmbedServer::start_with_labels(
-        engine,
+    let server = EmbedServer::start(
+        engine.clone(),
         ServerConfig {
             addr: args.addr.clone(),
             checkpoint_path: Some(args.checkpoint.clone().into()),
             trace: args.trace_out.is_some(),
-            ..ServerConfig::default()
         },
         recorder.clone(),
-        &meta.train_run_id,
         live.as_ref()
             .map(|(_, store, _)| std::sync::Arc::clone(store)),
     )?;
@@ -379,8 +358,7 @@ fn run_server(args: &ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
         std::fs::write(path, format!("{addr}\n"))?;
     }
 
-    // The retrain → hot-reload loop, once the listener is up (its publish
-    // sink reloads through the server's own socket).
+    // The retrain → hot-reload loop, once the listener is up.
     let _retrainer = match live {
         Some((dir, store, ds)) if args.retrain_votes > 0 => {
             let base = rll_label::RetrainBase {
@@ -405,16 +383,11 @@ fn run_server(args: &ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
                 },
                 base_seed: args.live_seed,
                 trigger,
-                weighting: Some(rll_label::WorkerWeighting {
-                    spam_threshold: 0.2,
-                    min_votes: 3,
-                }),
+                weighting: true,
                 auto_compact: args.compact,
                 poll_interval: std::time::Duration::from_millis(200),
                 state_path: dir.join("retrain.rllstate"),
                 manifest_path: dir.join("retrain.manifest.json"),
-                snapshot_every_epochs: 1,
-                threads: None,
             };
             let retrainer = rll_label::Retrainer::start(
                 store,
@@ -423,7 +396,7 @@ fn run_server(args: &ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
                 recorder.clone(),
                 Box::new(ReloadSink {
                     checkpoint: args.checkpoint.clone().into(),
-                    addr,
+                    engine,
                 }),
             )?;
             println!(
@@ -602,6 +575,42 @@ mod tests {
         }
         let err = parse_train_demo(&argv("--preset oral")).unwrap_err();
         assert_eq!(err, "unknown flag: --preset");
+    }
+
+    #[test]
+    fn reload_sink_serves_the_published_checkpoint_in_process() {
+        use rll_label::PublishSink;
+        let ds = rll_data::presets::oral_scaled(40, 3).expect("preset");
+        let mut pipeline = RllPipeline::new(RllConfig {
+            epochs: 1,
+            groups_per_epoch: 8,
+            ..RllConfig::default()
+        });
+        pipeline.fit(&ds.features, &ds.annotations, 3).expect("fit");
+        let recorder = rll_obs::Recorder::disabled();
+        let engine = InferenceEngine::start(
+            ServingModel::from_checkpoint(
+                Checkpoint::from_pipeline(&pipeline, "initial").expect("checkpoint"),
+            ),
+            EngineConfig::default(),
+            recorder.clone(),
+        )
+        .expect("engine");
+        let dir = std::env::temp_dir().join(format!("rll_serve_publish_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("model.rllckpt");
+        let mut sink = ReloadSink {
+            checkpoint: path.clone(),
+            engine: engine.clone(),
+        };
+        sink.publish(&pipeline, 1).expect("publish");
+        assert_eq!(engine.model().train_run_id(), "retrain-round-1");
+        let reloads = recorder.metrics().snapshot().counters["serve.model.reloads"];
+        assert_eq!(reloads, 1);
+        let on_disk = Checkpoint::load(&path).expect("published checkpoint loads");
+        assert_eq!(on_disk.meta.train_run_id, "retrain-round-1");
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

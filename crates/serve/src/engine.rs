@@ -1,26 +1,30 @@
 //! Micro-batched inference engine.
 //!
-//! A fixed pool of `std::thread` workers drains a **bounded** request queue.
-//! A request's cache misses form **one** job (one wake-up, one reply). Each
-//! wake-up takes whole jobs while their rows fit in `max_batch` (at least one,
-//! so a larger request runs alone) and runs one [`RllModel::embed`] forward
-//! pass, which amortizes per-call overhead. Every output row depends only on
-//! its own input row, so batched and unbatched inference produce
-//! **bit-identical** embeddings (the tests pin this with exact float equality).
+//! A fixed pool of [`WORKERS`] `std::thread` workers drains a **bounded**
+//! request queue. A request's cache misses form **one** job (one wake-up, one
+//! reply). Each wake-up takes whole jobs while their rows fit in
+//! [`MAX_BATCH`] (at least one, so a larger request runs alone) and runs one
+//! [`RllModel::embed`] forward pass, which amortizes per-call overhead. Every
+//! output row depends only on its own input row, so batched and unbatched
+//! inference produce **bit-identical** embeddings (the tests pin this with
+//! exact float equality).
 //!
-//! Backpressure: a request is admitted while fewer than `queue_capacity`
+//! Backpressure: a request is admitted while fewer than [`QUEUE_CAPACITY`]
 //! rows are queued; otherwise [`InferenceEngine::embed`] fails fast with
-//! [`ServeError::QueueFull`], which the HTTP layer maps to `503`.
+//! [`ServeError::QueueFull`], which the HTTP layer maps to `503`. The three
+//! pool sizes are constants: no caller runs other values.
 //!
 //! Caching: results are memoized in a hand-rolled [`LruCache`] keyed on the
 //! FNV-1a hash of the *raw* feature vector, so repeated queries skip the
 //! queue and the forward pass entirely.
 //!
-//! Hot reload: the serving model lives behind an `RwLock<Arc<ServingModel>>`.
+//! Hot reload: the serving model, with the training-run id its checkpoint
+//! carries, lives behind an `RwLock<Arc<ServingModel>>`.
 //! [`InferenceEngine::reload`] swaps in a new model without restarting the
 //! worker pool, and clears the embedding cache (cached rows were computed by
 //! the old weights). Each batch captures one `Arc` for its whole forward
-//! pass, so a swap mid-flight never mixes weights within a batch.
+//! pass, so a swap mid-flight never mixes weights within a batch, and the
+//! cache only takes a batch's rows while that `Arc` is still its owner.
 //!
 //! Locking: every lock is a rank-annotated wrapper from
 //! [`rll_par::lockorder`] — workers(10) < model(20) < queue(30) < cache(40)
@@ -44,16 +48,17 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Tuning knobs for the worker pool.
+/// Worker threads draining the queue.
+const WORKERS: usize = 2;
+/// Maximum rows coalesced into one forward pass; a larger request runs alone.
+const MAX_BATCH: usize = 16;
+/// Bounded queue capacity in rows; a request that arrives while this many
+/// rows are queued is rejected ([`ServeError::QueueFull`]).
+const QUEUE_CAPACITY: usize = 256;
+
+/// The one engine setting callers vary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// Worker threads draining the queue.
-    pub workers: usize,
-    /// Bounded queue capacity in rows; a request that arrives while this
-    /// many rows are queued is rejected ([`ServeError::QueueFull`]).
-    pub queue_capacity: usize,
-    /// Maximum rows coalesced into one forward pass; a larger request runs alone.
-    pub max_batch: usize,
     /// LRU embedding-cache entries (0 disables caching).
     pub cache_capacity: usize,
 }
@@ -61,43 +66,34 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            workers: 2,
-            queue_capacity: 256,
-            max_batch: 16,
             cache_capacity: 1024,
         }
     }
 }
 
-impl EngineConfig {
-    fn validate(&self) -> Result<()> {
-        if self.workers == 0 || self.max_batch == 0 || self.queue_capacity == 0 {
-            return Err(ServeError::InvalidConfig {
-                reason: format!(
-                    "workers ({}), max_batch ({}) and queue_capacity ({}) must all be positive",
-                    self.workers, self.max_batch, self.queue_capacity
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
 /// The frozen model a server process answers queries with: the trained
-/// encoder plus its training-time feature normalizer.
+/// encoder, its training-time feature normalizer, and the id of the training
+/// run that produced them.
 #[derive(Debug, Clone)]
 pub struct ServingModel {
     model: RllModel,
     normalizer: Normalizer,
+    train_run_id: String,
 }
 
 impl ServingModel {
-    /// Unwraps a validated checkpoint.
+    /// Unwraps a validated checkpoint, keeping its training-run id.
     pub fn from_checkpoint(checkpoint: Checkpoint) -> Self {
         ServingModel {
             model: checkpoint.model,
             normalizer: checkpoint.normalizer,
+            train_run_id: checkpoint.meta.train_run_id,
         }
+    }
+
+    /// Training-run id baked into the checkpoint this model came from.
+    pub fn train_run_id(&self) -> &str {
+        &self.train_run_id
     }
 
     /// Feature dimension requests must carry.
@@ -155,14 +151,21 @@ struct Queue {
     rows: usize,
 }
 
+/// The embedding cache and the model whose embeddings it holds.
+struct Cache {
+    entries: LruCache<Vec<f64>>,
+    /// The model every entry was computed by. [`InferenceEngine::reload`]
+    /// moves it to the new model as it clears `entries`.
+    owner: Arc<ServingModel>,
+}
+
 struct Shared {
     queue: OrderedMutex<Queue>,
     not_empty: OrderedCondvar,
     shutdown: AtomicBool,
     model: OrderedRwLock<Arc<ServingModel>>,
-    cache: OrderedMutex<LruCache<Vec<f64>>>,
+    cache: OrderedMutex<Cache>,
     recorder: Recorder,
-    config: EngineConfig,
 }
 
 impl Shared {
@@ -189,18 +192,21 @@ pub struct InferenceEngine {
 impl InferenceEngine {
     /// Spawns the worker pool and returns the engine handle.
     pub fn start(model: ServingModel, config: EngineConfig, recorder: Recorder) -> Result<Self> {
-        config.validate()?;
+        let model = Arc::new(model);
+        let cache = Cache {
+            entries: LruCache::new(config.cache_capacity),
+            owner: Arc::clone(&model),
+        };
         let shared = Arc::new(Shared {
             queue: OrderedMutex::new("queue", 30, Queue::default()),
             not_empty: OrderedCondvar::new(),
             shutdown: AtomicBool::new(false),
-            model: OrderedRwLock::new("model", 20, Arc::new(model)),
-            cache: OrderedMutex::new("cache", 40, LruCache::new(config.cache_capacity)),
+            model: OrderedRwLock::new("model", 20, model),
+            cache: OrderedMutex::new("cache", 40, cache),
             recorder,
-            config: config.clone(),
         });
-        let mut workers = Vec::with_capacity(config.workers);
-        for i in 0..config.workers {
+        let mut workers = Vec::with_capacity(WORKERS);
+        for i in 0..WORKERS {
             let worker_shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
@@ -220,18 +226,22 @@ impl InferenceEngine {
         self.shared.model()
     }
 
-    /// Hot-swaps the serving model without restarting the worker pool.
+    /// Hot-swaps the serving model, and with it the training-run id it
+    /// reports, without restarting the worker pool.
     ///
     /// The embedding cache is cleared (its entries were computed by the old
     /// weights), and in-flight batches finish on whichever model snapshot
-    /// they captured — a batch never mixes weights. The new model may have
-    /// different dimensions; subsequent requests are validated against it.
+    /// they captured — a batch never mixes weights, and one that captured
+    /// the old model does not fill the new model's cache. The new model may
+    /// have different dimensions; subsequent requests are validated against it.
     pub fn reload(&self, model: ServingModel) {
+        let model = Arc::new(model);
+        *self.shared.model.write() = Arc::clone(&model);
         {
-            let mut slot = self.shared.model.write();
-            *slot = Arc::new(model);
+            let mut cache = self.shared.cache.lock();
+            cache.entries.clear();
+            cache.owner = model;
         }
-        self.shared.cache.lock().clear();
         self.shared
             .recorder
             .metrics()
@@ -245,25 +255,18 @@ impl InferenceEngine {
     /// [`ServeError::QueueFull`] under backpressure and
     /// [`ServeError::DimMismatch`]/[`ServeError::InvalidRequest`] on bad
     /// input.
-    pub fn embed(&self, features: Vec<f64>) -> Result<Vec<f64>> {
-        self.embed_traced(features, &TraceCtx::disabled(0, 0))
-    }
-
-    /// [`embed`](Self::embed) with a request trace: queue-wait, batch
-    /// assembly, forward (or cache-hit) phases land in `trace`.
-    pub fn embed_traced(&self, mut features: Vec<f64>, trace: &TraceCtx) -> Result<Vec<f64>> {
-        self.embed_rows(std::slice::from_mut(&mut features), trace)?;
+    pub fn embed(&self, mut features: Vec<f64>) -> Result<Vec<f64>> {
+        self.embed_rows(
+            std::slice::from_mut(&mut features),
+            &TraceCtx::disabled(0, 0),
+        )?;
         Ok(features)
     }
 
-    /// Embeds several vectors, preserving order. The cache misses ride the
-    /// shared micro-batching queue as one job, so concurrent calls coalesce.
-    pub fn embed_many(&self, rows: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>> {
-        self.embed_many_traced(rows, &TraceCtx::disabled(0, 0))
-    }
-
-    /// [`embed_many`](Self::embed_many) with a request trace: a cache-hit phase
-    /// per hit, and one queue-wait, batch-assembly and forward phase for the misses.
+    /// Embeds several vectors, preserving order, with a request trace: a
+    /// cache-hit phase per hit, and one queue-wait, batch-assembly and
+    /// forward phase for the misses. The misses ride the shared
+    /// micro-batching queue as one job, so concurrent calls coalesce.
     pub fn embed_many_traced(
         &self,
         mut rows: Vec<Vec<f64>>,
@@ -275,12 +278,7 @@ impl InferenceEngine {
 
     /// Cosine relevance between the embeddings of two raw feature vectors —
     /// the serving form of the paper's eq. 3 relevance score (without the
-    /// training-only confidence weight).
-    pub fn score(&self, a: Vec<f64>, b: Vec<f64>) -> Result<f64> {
-        self.score_traced(a, b, &TraceCtx::disabled(0, 0))
-    }
-
-    /// [`score`](Self::score) with a request trace.
+    /// training-only confidence weight) — with a request trace.
     pub fn score_traced(&self, a: Vec<f64>, b: Vec<f64>, trace: &TraceCtx) -> Result<f64> {
         let embedded = self.embed_many_traced(vec![a, b], trace)?;
         rll_tensor::ops::cosine_similarity(&embedded[0], &embedded[1]).map_err(|e| {
@@ -293,7 +291,7 @@ impl InferenceEngine {
     /// Lifetime cache hit/miss counts.
     pub fn cache_stats(&self) -> (u64, u64) {
         let cache = self.shared.cache.lock();
-        (cache.hits(), cache.misses())
+        (cache.entries.hits(), cache.entries.misses())
     }
 
     /// Stops the workers and waits for them to exit. In-flight requests
@@ -350,7 +348,7 @@ impl InferenceEngine {
             let key = fnv1a_f64s(row);
             let lookup_start = trace.now();
             let lookup = Stopwatch::start();
-            if let Some(hit) = self.shared.cache.lock().get(key) {
+            if let Some(hit) = self.shared.cache.lock().entries.get(key) {
                 let secs = lookup.elapsed_secs();
                 metrics.counter("serve.cache.hits").inc();
                 metrics
@@ -368,34 +366,72 @@ impl InferenceEngine {
         if misses.is_empty() {
             return Ok(());
         }
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut queue = self.shared.queue.lock();
-            let capacity = self.shared.config.queue_capacity;
-            if queue.rows >= capacity {
-                metrics.counter("serve.queue.rejected").inc();
-                return Err(ServeError::QueueFull { capacity });
-            }
-            queue.rows += keys.len();
-            metrics.gauge("serve.queue.depth").set(queue.rows as f64);
-            queue.jobs.push_back(Job {
-                features,
-                keys,
-                reply: tx,
-                trace: trace.clone(),
-                queued_at: trace.now(),
-                queued: Stopwatch::start(),
-            });
-        }
-        metrics
-            .counter("serve.queue.submitted")
-            .add(misses.len() as u64);
-        self.shared.not_empty.notify_one();
+        let rx = enqueue(&self.shared, features, keys, trace)?;
         let embedded = rx.recv().map_err(|_| ServeError::EngineShutdown)??;
         for (i, row) in misses.into_iter().zip(embedded) {
             rows[i] = row;
         }
         Ok(())
+    }
+}
+
+/// Queues one request's misses as one job and wakes a worker; the
+/// returned receiver yields their embeddings. Refused with
+/// [`ServeError::EngineShutdown`] once shutdown has begun, and with
+/// [`ServeError::QueueFull`] at capacity.
+fn enqueue(
+    shared: &Shared,
+    features: Vec<f64>,
+    keys: Vec<u64>,
+    trace: &TraceCtx,
+) -> Result<mpsc::Receiver<Result<Vec<Vec<f64>>>>> {
+    let metrics = shared.recorder.metrics();
+    let rows = keys.len();
+    let (tx, rx) = mpsc::channel();
+    {
+        let mut queue = shared.queue.lock();
+        // Checked again under the queue lock: `shutdown` sets the flag
+        // before it drains the queue under this lock, so a job pushed
+        // after that drain would wait for workers that have exited.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return Err(ServeError::EngineShutdown);
+        }
+        if queue.rows >= QUEUE_CAPACITY {
+            metrics.counter("serve.queue.rejected").inc();
+            return Err(ServeError::QueueFull {
+                capacity: QUEUE_CAPACITY,
+            });
+        }
+        queue.rows += rows;
+        metrics.gauge("serve.queue.depth").set(queue.rows as f64);
+        queue.jobs.push_back(Job {
+            features,
+            keys,
+            reply: tx,
+            trace: trace.clone(),
+            queued_at: trace.now(),
+            queued: Stopwatch::start(),
+        });
+    }
+    metrics.counter("serve.queue.submitted").add(rows as u64);
+    shared.not_empty.notify_one();
+    Ok(rx)
+}
+
+/// Caches rows that `model` computed, unless a reload has made another
+/// model the cache's owner since: those rows would be served as hits
+/// for weights that no longer serve.
+fn fill_cache<'a>(
+    shared: &Shared,
+    model: &Arc<ServingModel>,
+    rows: impl IntoIterator<Item = (u64, &'a Vec<f64>)>,
+) {
+    let mut cache = shared.cache.lock();
+    if !Arc::ptr_eq(&cache.owner, model) {
+        return;
+    }
+    for (key, row) in rows {
+        cache.entries.insert(key, row.clone());
     }
 }
 
@@ -420,11 +456,11 @@ fn worker_loop(shared: &Shared) {
                 // Shutdown with nothing left to drain.
                 return;
             }
-            // Whole jobs while their rows fit in `max_batch`, and always the
+            // Whole jobs while their rows fit in `MAX_BATCH`, and always the
             // first one, so a request larger than a batch runs alone.
             let (mut take, mut rows) = (0, 0);
             for job in &queue.jobs {
-                if take > 0 && rows + job.keys.len() > shared.config.max_batch {
+                if take > 0 && rows + job.keys.len() > MAX_BATCH {
                     break;
                 }
                 take += 1;
@@ -497,15 +533,15 @@ fn run_batch(shared: &Shared, jobs: Vec<Job>, rows: usize, timers: &PhaseTimers)
     }
     match result {
         Ok(embeddings) => {
-            let mut cache = shared.cache.lock();
-            let mut out =
-                (0..rows).map(|i| embeddings.row(i).map(<[f64]>::to_vec).unwrap_or_default());
+            let embedded: Vec<Vec<f64>> = (0..rows)
+                .map(|i| embeddings.row(i).map(<[f64]>::to_vec).unwrap_or_default())
+                .collect();
+            let keys = jobs.iter().flat_map(|job| job.keys.iter().copied());
+            fill_cache(shared, &model, keys.zip(&embedded));
+            let mut embedded = embedded.into_iter();
             for job in jobs {
-                let embedded = job.keys.iter().zip(&mut out).map(|(&key, row)| {
-                    cache.insert(key, row.clone());
-                    row
-                });
-                let _ = job.reply.send(Ok(embedded.collect()));
+                let reply = embedded.by_ref().take(job.keys.len()).collect();
+                let _ = job.reply.send(Ok(reply));
             }
         }
         Err(e) => {
@@ -535,7 +571,16 @@ mod tests {
         let model = RllModel::new(config, &mut rng).unwrap();
         let features = Matrix::from_fn(12, 3, |r, c| (r as f64) * 0.3 - (c as f64) * 0.7);
         let normalizer = Normalizer::fit(&features).unwrap();
-        ServingModel { model, normalizer }
+        ServingModel {
+            model,
+            normalizer,
+            train_run_id: "tiny".into(),
+        }
+    }
+
+    /// A disabled trace, for requests whose phases the test does not read.
+    fn untraced() -> TraceCtx {
+        TraceCtx::disabled(0, 0)
     }
 
     fn engine(seed: u64, config: EngineConfig) -> InferenceEngine {
@@ -586,7 +631,7 @@ mod tests {
             Err(ServeError::InvalidRequest { .. })
         ));
         assert!(matches!(
-            eng.embed_many(vec![]),
+            eng.embed_many_traced(vec![], &untraced()),
             Err(ServeError::InvalidRequest { .. })
         ));
         eng.shutdown();
@@ -598,7 +643,7 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..20)
             .map(|i| vec![i as f64, -(i as f64), 0.5 * i as f64])
             .collect();
-        let batched = eng.embed_many(rows.clone()).unwrap();
+        let batched = eng.embed_many_traced(rows.clone(), &untraced()).unwrap();
         for (row, got) in rows.into_iter().zip(&batched) {
             let single = eng.embed(row).unwrap();
             assert_eq!(&single, got);
@@ -611,13 +656,13 @@ mod tests {
         let eng = engine(5, EngineConfig::default());
         let a = vec![1.0, 0.0, -1.0];
         let b = vec![0.0, 2.0, 1.0];
-        let s = eng.score(a.clone(), b.clone()).unwrap();
+        let s = eng.score_traced(a.clone(), b.clone(), &untraced()).unwrap();
         let ea = eng.embed(a.clone()).unwrap();
         let eb = eng.embed(b.clone()).unwrap();
         let expected = rll_tensor::ops::cosine_similarity(&ea, &eb).unwrap();
         assert!((s - expected).abs() < 1e-15);
         // Self-similarity of a cached embedding is exactly 1 (same bits).
-        let self_score = eng.score(a.clone(), a).unwrap();
+        let self_score = eng.score_traced(a.clone(), a, &untraced()).unwrap();
         assert!((self_score - 1.0).abs() < 1e-12);
         eng.shutdown();
     }
@@ -629,9 +674,9 @@ mod tests {
             .unwrap();
         let trace = TraceCtx::recording(0, 0);
         let x = vec![0.5, 1.0, -2.0];
-        eng.embed_traced(x.clone(), &trace).unwrap();
+        eng.embed_many_traced(vec![x.clone()], &trace).unwrap();
         // Repeat is a cache hit, recorded as its own phase.
-        eng.embed_traced(x, &trace).unwrap();
+        eng.embed_many_traced(vec![x], &trace).unwrap();
         let record = trace.finish("POST", "/embed", 200).unwrap();
         let names: Vec<&str> = record.phases.iter().map(|p| p.phase.as_str()).collect();
         for expected in ["queue_wait", "batch_assembly", "forward", "cache_hit"] {
@@ -664,18 +709,14 @@ mod tests {
             eng.embed(vec![0.0, 0.0, 0.0]),
             Err(ServeError::EngineShutdown)
         ));
-    }
-
-    #[test]
-    fn invalid_config_rejected() {
-        let bad = EngineConfig {
-            workers: 0,
-            ..EngineConfig::default()
-        };
+        // A request that passed its own shutdown check before `shutdown`
+        // ran reaches the queue only now, after the drain: it is refused,
+        // not left queued for workers that have exited.
         assert!(matches!(
-            InferenceEngine::start(tiny_model(7), bad, Recorder::disabled()),
-            Err(ServeError::InvalidConfig { .. })
+            enqueue(&eng.shared, vec![0.0; 3], vec![7], &untraced()),
+            Err(ServeError::EngineShutdown)
         ));
+        assert!(eng.shared.queue.lock().jobs.is_empty());
     }
 
     #[test]
@@ -705,6 +746,27 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_computed_by_the_old_model_does_not_fill_the_new_cache() {
+        let eng = engine(24, EngineConfig::default());
+        let x = vec![0.75, -0.25, 1.0];
+        let stale = vec![9.0; 4];
+        // A batch snapshots the model, a reload lands, then the batch
+        // finishes and offers its rows to the cache.
+        let old = eng.model();
+        eng.reload(tiny_model(25));
+        fill_cache(&eng.shared, &old, [(fnv1a_f64s(&x), &stale)]);
+        let served = eng.embed(x.clone()).unwrap();
+        assert_ne!(served, stale);
+        assert_eq!(eng.cache_stats(), (0, 1));
+        // The current model's rows are cached as before.
+        let y = vec![-1.5, 0.5, 2.0];
+        fill_cache(&eng.shared, &eng.model(), [(fnv1a_f64s(&y), &stale)]);
+        assert_eq!(eng.embed(y).unwrap(), stale);
+        assert_eq!(eng.cache_stats(), (1, 1));
+        eng.shutdown();
+    }
+
+    #[test]
     fn reload_revalidates_dims_against_the_new_model() {
         let eng = engine(11, EngineConfig::default());
         let mut rng = Rng64::seed_from_u64(12);
@@ -716,7 +778,11 @@ mod tests {
         let model = RllModel::new(config, &mut rng).unwrap();
         let features = Matrix::from_fn(9, 2, |r, c| (r as f64) * 0.4 - c as f64);
         let normalizer = Normalizer::fit(&features).unwrap();
-        eng.reload(ServingModel { model, normalizer });
+        eng.reload(ServingModel {
+            model,
+            normalizer,
+            train_run_id: "two-dims".into(),
+        });
         assert!(matches!(
             eng.embed(vec![1.0, 2.0, 3.0]),
             Err(ServeError::DimMismatch {
@@ -745,7 +811,14 @@ mod tests {
         let rows = (0..n)
             .map(|_| (0..12).map(|_| rng.standard_normal() * 2.0).collect())
             .collect();
-        (ServingModel { model, normalizer }, rows)
+        (
+            ServingModel {
+                model,
+                normalizer,
+                train_run_id: "seeded".into(),
+            },
+            rows,
+        )
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -797,7 +870,7 @@ mod tests {
             .iter()
             .map(|&i| rows[i].clone())
             .collect();
-        let got = eng.embed_many(request.clone()).unwrap();
+        let got = eng.embed_many_traced(request.clone(), &untraced()).unwrap();
         assert_eq!(eng.cache_stats(), (2, 7)); // two warm-up misses, five here
         let fresh =
             InferenceEngine::start(model, EngineConfig::default(), Recorder::disabled()).unwrap();
@@ -811,20 +884,16 @@ mod tests {
 
     #[test]
     fn request_larger_than_batch_and_queue_runs_alone() {
-        let (model, rows) = seeded_model_and_rows(40);
+        let n = QUEUE_CAPACITY.max(MAX_BATCH) + 1;
+        let (model, rows) = seeded_model_and_rows(n);
         let eng = InferenceEngine::start(
             model,
-            EngineConfig {
-                workers: 1,
-                max_batch: 16,
-                queue_capacity: 8,
-                cache_capacity: 0,
-            },
+            EngineConfig { cache_capacity: 0 },
             Recorder::disabled(),
         )
         .unwrap();
-        let got = eng.embed_many(rows.clone()).unwrap();
-        assert_eq!(got.len(), 40);
+        let got = eng.embed_many_traced(rows.clone(), &untraced()).unwrap();
+        assert_eq!(got.len(), n);
         for (row, embedding) in rows.into_iter().zip(&got) {
             assert_eq!(&eng.embed(row).unwrap(), embedding);
         }
@@ -836,7 +905,7 @@ mod tests {
         let recorder = Recorder::disabled();
         let (model, rows) = seeded_model_and_rows(5);
         let eng = InferenceEngine::start(model, EngineConfig::default(), recorder.clone()).unwrap();
-        eng.embed_many(rows).unwrap();
+        eng.embed_many_traced(rows, &untraced()).unwrap();
         let snap = recorder.metrics().snapshot();
         let sizes = &snap.histograms["serve.batch.size"];
         assert_eq!((sizes.count, sizes.sum), (1, 5.0));
@@ -847,35 +916,26 @@ mod tests {
     #[test]
     fn admission_counts_queued_rows() {
         let (model, rows) = seeded_model_and_rows(3);
-        let config = EngineConfig {
-            queue_capacity: 8,
-            ..EngineConfig::default()
-        };
-        let eng = InferenceEngine::start(model, config, Recorder::disabled()).unwrap();
+        let eng =
+            InferenceEngine::start(model, EngineConfig::default(), Recorder::disabled()).unwrap();
         // Rows queued without a job: workers stay asleep, admission sees them.
-        eng.shared.queue.lock().rows = 8;
+        eng.shared.queue.lock().rows = QUEUE_CAPACITY;
         assert!(matches!(
-            eng.embed_many(rows.clone()),
-            Err(ServeError::QueueFull { capacity: 8 })
+            eng.embed_many_traced(rows.clone(), &untraced()),
+            Err(ServeError::QueueFull {
+                capacity: QUEUE_CAPACITY
+            })
         ));
         // One row of room admits a request of any size.
-        eng.shared.queue.lock().rows = 7;
-        assert_eq!(eng.embed_many(rows).unwrap().len(), 3);
-        assert_eq!(eng.shared.queue.lock().rows, 7);
+        eng.shared.queue.lock().rows = QUEUE_CAPACITY - 1;
+        assert_eq!(eng.embed_many_traced(rows, &untraced()).unwrap().len(), 3);
+        assert_eq!(eng.shared.queue.lock().rows, QUEUE_CAPACITY - 1);
         eng.shutdown();
     }
 
     #[test]
     fn concurrent_load_coalesces_into_batches() {
-        let eng = engine(
-            8,
-            EngineConfig {
-                workers: 1,
-                max_batch: 8,
-                queue_capacity: 64,
-                cache_capacity: 0,
-            },
-        );
+        let eng = engine(8, EngineConfig { cache_capacity: 0 });
         let recorder = Recorder::disabled();
         let _ = recorder; // engine has its own disabled recorder
         let mut handles = Vec::new();

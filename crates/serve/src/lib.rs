@@ -10,11 +10,11 @@
 //! 1. **[`checkpoint`]** — a versioned, checksummed on-disk format
 //!    ([`Checkpoint`]) wrapping the trained encoder + feature normalizer,
 //!    with typed errors for version, checksum, and dimension mismatches.
-//! 2. **[`engine`]** — an [`InferenceEngine`]: a `std::thread` worker pool
+//! 2. **[`engine`]** — an [`InferenceEngine`]: a two-thread worker pool
 //!    over a *bounded* request queue (backpressure via
 //!    [`ServeError::QueueFull`]) that holds one job per request, batching
-//!    whole jobs up to `max_batch` rows into one forward matmul, and a
-//!    hand-rolled [`lru::LruCache`] keyed on FNV-1a feature hashes.
+//!    whole jobs up to 16 rows into one forward matmul, and a hand-rolled
+//!    [`lru::LruCache`] keyed on FNV-1a feature hashes.
 //! 3. **[`http`] / [`server`]** — a zero-dependency HTTP/1.1 server on
 //!    `std::net::TcpListener` exposing `POST /embed`, `POST /score`,
 //!    `GET /healthz`, `GET /metrics` (rll-obs counters, batch sizes,
@@ -41,7 +41,7 @@ pub use engine::{EngineConfig, InferenceEngine, ServingModel};
 pub use error::ServeError;
 pub use server::{
     EmbedRequest, EmbedResponse, EmbedServer, ErrorResponse, HealthResponse, ReloadResponse,
-    ScoreRequest, ScoreResponse, ServerConfig,
+    ScoreRequest, ScoreResponse, ServerConfig, MAX_BODY_BYTES,
 };
 
 /// Result alias used across the crate.

@@ -12,14 +12,14 @@
 //! | `/labels/<id>` | GET | — | [`rll_label::ExampleConfidence`] for one example (`404` if unvoted) |
 //! | `/compact` | POST | — | [`rll_label::CompactionStats`] after folding WAL history below the published `folded_seq` |
 //!
-//! The label routes answer `400` unless the server was started with a
-//! [`rll_label::LabelStore`] via [`EmbedServer::start_with_labels`].
+//! The label routes answer `400` unless [`EmbedServer::start`] was given a
+//! [`rll_label::LabelStore`].
 //!
 //! Error contract: JSON `{"error": …}` with `400` (bad input), `404`/`405`
-//! (routing), `411`/`413` (framing), `503` (queue backpressure / shutdown),
-//! `500` (internal). Connections are HTTP/1.1 keep-alive with pipelining;
-//! each gets a read timeout so an idle peer cannot pin a handler thread
-//! forever.
+//! (routing), `411`/`413` (framing; bodies over [`MAX_BODY_BYTES`]), `503`
+//! (queue backpressure / shutdown), `500` (internal). Connections are
+//! HTTP/1.1 keep-alive with pipelining; each gets a 30 s read timeout so an
+//! idle peer cannot pin a handler thread forever.
 //!
 //! [`MetricsSnapshot`]: rll_obs::MetricsSnapshot
 
@@ -29,7 +29,6 @@ use crate::error::ServeError;
 use crate::http::{self, HttpError, ReadOutcome, Request};
 use crate::Result;
 use rll_obs::{EventKind, Phase, Recorder, SpanTimer, Stopwatch, TraceCtx};
-use rll_par::OrderedRwLock;
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -39,16 +38,19 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Server tuning knobs.
+/// Largest accepted request body; a longer declared `Content-Length` is
+/// answered `413` without reading the body.
+pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Per-connection read timeout; an idle keep-alive peer is disconnected
+/// after this long.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Server settings callers vary.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Largest accepted request body.
-    pub max_body_bytes: usize,
-    /// Per-connection read timeout; an idle keep-alive peer is disconnected
-    /// after this long.
-    pub read_timeout_secs: u64,
     /// Checkpoint file `POST /reload` re-reads to hot-swap the model. `None`
     /// disables the endpoint (it answers `400`).
     pub checkpoint_path: Option<PathBuf>,
@@ -64,8 +66,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            max_body_bytes: 1 << 20,
-            read_timeout_secs: 30,
             checkpoint_path: None,
             trace: false,
         }
@@ -142,7 +142,6 @@ pub struct ErrorResponse {
 /// A running server; dropping the handle does **not** stop it — call
 /// [`EmbedServer::shutdown`].
 pub struct EmbedServer {
-    engine: InferenceEngine,
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
@@ -154,13 +153,8 @@ struct Ctx {
     /// Live label store backing `POST /label` / `GET /labels*`; `None`
     /// leaves those routes answering `400`.
     labels: Option<Arc<rll_label::LabelStore>>,
-    /// Behind a lock because `/reload` replaces it with the run id of the
-    /// newly loaded checkpoint. Rank 50: above every engine lock, so holding
-    /// it can never nest under (or over) the inference path illegally.
-    train_run_id: OrderedRwLock<String>,
     checkpoint_path: Option<PathBuf>,
     started: Stopwatch,
-    max_body_bytes: usize,
     shutdown: Arc<AtomicBool>,
     /// Whether requests get recording trace contexts (see
     /// [`ServerConfig::trace`]).
@@ -171,10 +165,6 @@ struct Ctx {
 }
 
 impl Ctx {
-    fn train_run_id(&self) -> String {
-        self.train_run_id.read().clone()
-    }
-
     /// Starts the per-route handler latency guard; the elapsed time lands in
     /// the `key` histogram (`serve.handler.<route>`) when the guard drops,
     /// so early returns inside a handler are still counted (the
@@ -186,23 +176,12 @@ impl Ctx {
 }
 
 impl EmbedServer {
-    /// Binds `config.addr` and starts accepting connections.
+    /// Binds `config.addr` and starts accepting connections. `labels`, when
+    /// given, is the live store behind the `/label` and `/labels*` routes.
     pub fn start(
         engine: InferenceEngine,
         config: ServerConfig,
         recorder: Recorder,
-        train_run_id: &str,
-    ) -> Result<Self> {
-        Self::start_with_labels(engine, config, recorder, train_run_id, None)
-    }
-
-    /// Like [`EmbedServer::start`], but with a live [`rll_label::LabelStore`]
-    /// behind the `/label` and `/labels*` routes.
-    pub fn start_with_labels(
-        engine: InferenceEngine,
-        config: ServerConfig,
-        recorder: Recorder,
-        train_run_id: &str,
         labels: Option<Arc<rll_label::LabelStore>>,
     ) -> Result<Self> {
         let listener = TcpListener::bind(&config.addr)
@@ -212,18 +191,15 @@ impl EmbedServer {
             .map_err(|e| ServeError::io("local_addr", e))?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let ctx = Arc::new(Ctx {
-            engine: engine.clone(),
+            engine,
             recorder,
             labels,
-            train_run_id: OrderedRwLock::new("train_run_id", 50, train_run_id.to_string()),
-            checkpoint_path: config.checkpoint_path.clone(),
+            checkpoint_path: config.checkpoint_path,
             started: Stopwatch::start(),
-            max_body_bytes: config.max_body_bytes,
             shutdown: Arc::clone(&shutdown),
             trace: config.trace,
             connections: AtomicU64::new(0),
         });
-        let read_timeout = Duration::from_secs(config.read_timeout_secs.max(1));
         let acceptor_shutdown = Arc::clone(&shutdown);
         let acceptor = std::thread::Builder::new()
             .name("serve-acceptor".to_string())
@@ -233,7 +209,7 @@ impl EmbedServer {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    let _ = stream.set_read_timeout(Some(read_timeout));
+                    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
                     let _ = stream.set_nodelay(true);
                     let conn_ctx = Arc::clone(&ctx);
                     conn_ctx
@@ -251,7 +227,6 @@ impl EmbedServer {
             })
             .map_err(|e| ServeError::io("spawn acceptor thread", e))?;
         Ok(EmbedServer {
-            engine,
             local_addr,
             shutdown,
             acceptor: Some(acceptor),
@@ -261,11 +236,6 @@ impl EmbedServer {
     /// The bound address (resolves the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// The engine this server fronts.
-    pub fn engine(&self) -> &InferenceEngine {
-        &self.engine
     }
 
     /// Stops accepting, unblocks the acceptor, and joins it. The inference
@@ -300,7 +270,7 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
             TraceCtx::disabled(conn_seq, req_seq)
         };
         let parse_clock = Stopwatch::start();
-        match http::read_request(&mut reader, ctx.max_body_bytes) {
+        match http::read_request(&mut reader, MAX_BODY_BYTES) {
             Ok(ReadOutcome::Request(request)) => {
                 let parse_secs = parse_clock.elapsed_secs();
                 let metrics = ctx.recorder.metrics();
@@ -429,7 +399,7 @@ fn handle_healthz(ctx: &Ctx) -> Routed {
     let model = ctx.engine.model();
     json_ok(&HealthResponse {
         status: "ok".to_string(),
-        train_run_id: ctx.train_run_id(),
+        train_run_id: model.train_run_id().to_string(),
         input_dim: model.input_dim(),
         embedding_dim: model.embedding_dim(),
         uptime_secs: ctx.started.elapsed_secs(),
@@ -461,11 +431,10 @@ fn handle_reload(ctx: &Ctx) -> Routed {
             );
         }
     };
-    let train_run_id = checkpoint.meta.train_run_id.clone();
     let model = ServingModel::from_checkpoint(checkpoint);
+    let train_run_id = model.train_run_id().to_string();
     let (input_dim, embedding_dim) = (model.input_dim(), model.embedding_dim());
     ctx.engine.reload(model);
-    *ctx.train_run_id.write() = train_run_id.clone();
     ctx.recorder.note(format!(
         "reloaded checkpoint {} ({train_run_id})",
         path.display()

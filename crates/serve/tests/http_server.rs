@@ -10,6 +10,7 @@ use rll_serve::http;
 use rll_serve::{
     Checkpoint, EmbedRequest, EmbedResponse, EmbedServer, EngineConfig, HealthResponse,
     InferenceEngine, ReloadResponse, ScoreRequest, ScoreResponse, ServerConfig, ServingModel,
+    MAX_BODY_BYTES,
 };
 use rll_tensor::{Matrix, Rng64};
 use std::io::{BufReader, Read, Write};
@@ -45,13 +46,8 @@ impl Harness {
             Recorder::disabled(),
         )
         .expect("engine");
-        let server = EmbedServer::start(
-            engine.clone(),
-            server_config,
-            Recorder::disabled(),
-            "http-test-run",
-        )
-        .expect("server");
+        let server = EmbedServer::start(engine.clone(), server_config, Recorder::disabled(), None)
+            .expect("server");
         Harness { server, engine }
     }
 
@@ -195,30 +191,21 @@ fn post_without_content_length_gets_411() {
 
 #[test]
 fn oversized_content_length_gets_413_without_reading_body() {
-    let h = Harness::start(
-        7,
-        ServerConfig {
-            max_body_bytes: 1024,
-            ..ServerConfig::default()
-        },
-    );
-    // Declare a 1 MiB body but never send it: the server must reject on the
-    // header alone instead of waiting for bytes that never come.
-    let response =
-        h.roundtrip("POST /embed HTTP/1.1\r\nHost: t\r\nContent-Length: 1048576\r\n\r\n");
+    let h = Harness::start(7, ServerConfig::default());
+    // Declare one byte over the limit but never send the body: the server
+    // must reject on the header alone instead of waiting for bytes that
+    // never come.
+    let response = h.roundtrip(&format!(
+        "POST /embed HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+        MAX_BODY_BYTES + 1
+    ));
     assert_eq!(response.status, 413);
     h.stop();
 }
 
 #[test]
 fn over_limit_length_closes_the_connection() {
-    let h = Harness::start(
-        14,
-        ServerConfig {
-            max_body_bytes: 1024,
-            ..ServerConfig::default()
-        },
-    );
+    let h = Harness::start(14, ServerConfig::default());
     // A Content-Length that overflows the integer type entirely must be
     // refused as over-limit (413), and the connection must close: after
     // rejecting the declaration the server cannot know where this message
@@ -387,7 +374,7 @@ fn deeply_nested_body_gets_400_and_the_server_lives() {
     // nesting cap they overflow the connection thread's stack, which aborts
     // the whole process.
     let body = "[".repeat(200_000);
-    assert!(body.len() <= ServerConfig::default().max_body_bytes);
+    assert!(body.len() <= MAX_BODY_BYTES);
     let response = h.post_json("/embed", &body);
     assert_eq!(response.status, 400);
     let err: rll_serve::ErrorResponse = json(&response);
@@ -429,7 +416,7 @@ fn every_request_emits_exactly_one_complete_trace() {
             ..ServerConfig::default()
         },
         recorder,
-        "trace-e2e",
+        None,
     )
     .expect("server");
 
@@ -539,7 +526,7 @@ fn idle_time_before_a_request_stays_out_of_its_parse_phase() {
             ..ServerConfig::default()
         },
         recorder,
-        "trace-idle",
+        None,
     )
     .expect("server");
 
@@ -663,6 +650,15 @@ fn reload_hot_swaps_checkpoint_and_survives_corruption() {
     let still: EmbedResponse = json(&h.post_json("/embed", &body));
     assert_eq!(still.embeddings, after.embeddings);
 
+    // A retrain publish swaps the engine's model in process, and /healthz
+    // names the new model's run at once.
+    let published = test_checkpoint(19);
+    let published = Checkpoint::new(published.model, published.normalizer, "retrain-round-1")
+        .expect("published checkpoint");
+    h.engine.reload(ServingModel::from_checkpoint(published));
+    let health: HealthResponse = json(&h.roundtrip("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"));
+    assert_eq!(health.train_run_id, "retrain-round-1");
+
     h.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -689,11 +685,10 @@ fn start_with_labels(seed: u64, dir: &std::path::Path) -> Harness {
         Recorder::disabled(),
     )
     .expect("label store");
-    let server = EmbedServer::start_with_labels(
+    let server = EmbedServer::start(
         engine.clone(),
         ServerConfig::default(),
         Recorder::disabled(),
-        "http-test-run",
         Some(std::sync::Arc::new(store)),
     )
     .expect("server");

@@ -56,11 +56,10 @@ fn loadgen_passes(name: &str, extra: &[&str]) -> bool {
         Recorder::disabled(),
     )
     .expect("label store");
-    let server = EmbedServer::start_with_labels(
+    let server = EmbedServer::start(
         engine.clone(),
         ServerConfig::default(),
         Recorder::disabled(),
-        "loadgen-gate",
         Some(Arc::new(store)),
     )
     .expect("server");

@@ -9,9 +9,9 @@
 //! 1. the rank-annotated wrappers adopted by the engine/server really are on
 //!    the hot path — [`rll_par::lockorder::validations`] strictly increases
 //!    while requests flow — and
-//! 2. the declared rank ladder (workers 10 < model 20 < queue 30 < cache 40
-//!    < train_run_id 50) holds at runtime for submit, cache-hit, reload, and
-//!    shutdown paths: any inversion would panic the thread and fail the test.
+//! 2. the declared rank ladder (workers 10 < model 20 < queue 30 < cache 40)
+//!    holds at runtime for submit, cache-hit, reload, and shutdown paths:
+//!    any inversion would panic the thread and fail the test.
 
 use rll_core::{RllModel, RllModelConfig};
 use rll_data::Normalizer;
