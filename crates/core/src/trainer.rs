@@ -282,29 +282,29 @@ impl RllTrainer {
         })
     }
 
-    /// Computes the per-item label confidences `δ` for any variant.
+    /// Computes the per-item label confidences `δ` for any variant and emits
+    /// one `ConfidenceSummary` event for them (variant `"worker_aware"` for
+    /// [`RllVariant::WorkerAware`], else the estimator's name).
     pub fn compute_confidences(
         &self,
         annotations: &AnnotationMatrix,
         labels: &[u8],
         positive_prior: f64,
     ) -> Result<Vec<f64>> {
-        match self.config.variant {
+        let (variant, conf) = match self.config.variant {
             RllVariant::WorkerAware => {
                 let fit = rll_crowd::aggregate::DawidSkene::default().fit(annotations)?;
-                Ok(
-                    rll_crowd::confidence::worker_aware_label_confidences_observed(
-                        &fit,
-                        labels,
-                        &self.recorder,
-                    )?,
-                )
+                let conf = rll_crowd::worker_aware_label_confidences(&fit, labels)?;
+                ("worker_aware", conf)
             }
             _ => {
                 let estimator = self.confidence_estimator(positive_prior)?;
-                Ok(estimator.label_confidences_observed(annotations, labels, &self.recorder)?)
+                let conf = estimator.label_confidences(annotations, labels)?;
+                (estimator.name(), conf)
             }
-        }
+        };
+        rll_crowd::emit_confidence_summary(&self.recorder, variant, &conf);
+        Ok(conf)
     }
 
     /// Full training run: infer labels, estimate confidences, sample groups,

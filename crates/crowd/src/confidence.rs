@@ -191,20 +191,6 @@ impl ConfidenceEstimator {
             .map(|(&l, p)| if l == 1 { p } else { 1.0 - p })
             .collect())
     }
-
-    /// [`Self::label_confidences`] plus telemetry: emits a
-    /// `ConfidenceSummary` event describing the δ distribution (count, mean,
-    /// spread) for this estimator variant.
-    pub fn label_confidences_observed(
-        &self,
-        annotations: &AnnotationMatrix,
-        labels: &[u8],
-        recorder: &rll_obs::Recorder,
-    ) -> Result<Vec<f64>> {
-        let conf = self.label_confidences(annotations, labels)?;
-        emit_confidence_summary(recorder, self.name(), &conf);
-        Ok(conf)
-    }
 }
 
 /// Emits a `ConfidenceSummary` event for a computed δ vector.
@@ -252,18 +238,6 @@ pub fn worker_aware_label_confidences(
                 })
         })
         .collect()
-}
-
-/// [`worker_aware_label_confidences`] plus a `ConfidenceSummary` event under
-/// the `"worker_aware"` variant name.
-pub fn worker_aware_label_confidences_observed(
-    fit: &crate::aggregate::DawidSkeneFit,
-    labels: &[u8],
-    recorder: &rll_obs::Recorder,
-) -> Result<Vec<f64>> {
-    let conf = worker_aware_label_confidences(fit, labels)?;
-    emit_confidence_summary(recorder, "worker_aware", &conf);
-    Ok(conf)
 }
 
 #[cfg(test)]

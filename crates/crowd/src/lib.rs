@@ -27,8 +27,7 @@ pub mod simulate;
 
 pub use annotations::AnnotationMatrix;
 pub use confidence::{
-    emit_confidence_summary, worker_aware_label_confidences,
-    worker_aware_label_confidences_observed, BetaPrior, ConfidenceEstimator,
+    emit_confidence_summary, worker_aware_label_confidences, BetaPrior, ConfidenceEstimator,
 };
 pub use error::CrowdError;
 pub use quality::{detect_spammers, live_worker_qualities, rank_workers, WorkerQuality};

@@ -22,13 +22,9 @@ pub struct AblationPoint {
     pub score: MethodScore,
 }
 
-/// Sweeps the softmax temperature `η` for RLL-Bayesian on `oral`.
-pub fn eta_sweep(scale: ExperimentScale, seed: u64, etas: &[f64]) -> Result<Vec<AblationPoint>> {
-    eta_sweep_observed(scale, seed, etas, &rll_obs::Recorder::disabled())
-}
-
-/// [`eta_sweep`] with telemetry through `recorder`.
-pub fn eta_sweep_observed(
+/// Sweeps the softmax temperature `η` for RLL-Bayesian on `oral`, with
+/// telemetry through `recorder`.
+pub fn eta_sweep(
     scale: ExperimentScale,
     seed: u64,
     etas: &[f64],
@@ -50,20 +46,16 @@ pub fn eta_sweep_observed(
             };
             Ok(AblationPoint {
                 label: format!("eta={eta}"),
-                score: cv.evaluate_with(MethodSpec::Rll(RllVariant::Bayesian), &ds, recorder)?,
+                score: cv.evaluate(MethodSpec::Rll(RllVariant::Bayesian), &ds, recorder)?,
             })
         })
         .collect()
 }
 
-/// Compares the three confidence estimators at a fixed seed and budget — the
-/// core ablation behind the paper's RLL / RLL+MLE / RLL+Bayesian rows.
-pub fn confidence_ablation(scale: ExperimentScale, seed: u64) -> Result<Vec<AblationPoint>> {
-    confidence_ablation_observed(scale, seed, &rll_obs::Recorder::disabled())
-}
-
-/// [`confidence_ablation`] with telemetry through `recorder`.
-pub fn confidence_ablation_observed(
+/// Compares the confidence estimators at a fixed seed and budget — the core
+/// ablation behind the paper's RLL / RLL+MLE / RLL+Bayesian rows, plus the
+/// worker-aware extension — with telemetry through `recorder`.
+pub fn confidence_ablation(
     scale: ExperimentScale,
     seed: u64,
     recorder: &rll_obs::Recorder,
@@ -85,19 +77,15 @@ pub fn confidence_ablation_observed(
     .map(|variant| {
         Ok(AblationPoint {
             label: variant.name().to_string(),
-            score: cv.evaluate_with(MethodSpec::Rll(variant), &ds, recorder)?,
+            score: cv.evaluate(MethodSpec::Rll(variant), &ds, recorder)?,
         })
     })
     .collect()
 }
 
-/// Sweeps the embedding dimension for RLL-Bayesian on `oral`.
-pub fn dim_sweep(scale: ExperimentScale, seed: u64, dims: &[usize]) -> Result<Vec<AblationPoint>> {
-    dim_sweep_observed(scale, seed, dims, &rll_obs::Recorder::disabled())
-}
-
-/// [`dim_sweep`] with telemetry through `recorder`.
-pub fn dim_sweep_observed(
+/// Sweeps the embedding dimension for RLL-Bayesian on `oral`, with
+/// telemetry through `recorder`.
+pub fn dim_sweep(
     scale: ExperimentScale,
     seed: u64,
     dims: &[usize],
@@ -119,7 +107,7 @@ pub fn dim_sweep_observed(
             };
             Ok(AblationPoint {
                 label: format!("dim={dim}"),
-                score: cv.evaluate_with(MethodSpec::Rll(RllVariant::Bayesian), &ds, recorder)?,
+                score: cv.evaluate(MethodSpec::Rll(RllVariant::Bayesian), &ds, recorder)?,
             })
         })
         .collect()
@@ -137,19 +125,11 @@ pub struct SamplingAblation {
     pub gamma: f64,
 }
 
-/// Runs the sampling-strategy ablation.
+/// Runs the sampling-strategy ablation, with telemetry through `recorder`.
+/// The sampler's rejection counts in `SamplerBatch` events are the
+/// interesting part here: they show how contended the confidence-biased
+/// weights are.
 pub fn sampling_ablation(
-    scale: ExperimentScale,
-    seed: u64,
-    gamma: f64,
-) -> Result<SamplingAblation> {
-    sampling_ablation_observed(scale, seed, gamma, &rll_obs::Recorder::disabled())
-}
-
-/// [`sampling_ablation`] with telemetry through `recorder`. The sampler's
-/// rejection counts in `SamplerBatch` events are the interesting part here:
-/// they show how contended the confidence-biased weights are.
-pub fn sampling_ablation_observed(
     scale: ExperimentScale,
     seed: u64,
     gamma: f64,
@@ -192,10 +172,17 @@ fn single_fold_accuracy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rll_obs::Recorder;
 
     #[test]
     fn eta_sweep_runs() {
-        let points = eta_sweep(ExperimentScale::Quick, 3, &[5.0, 10.0]).unwrap();
+        let points = eta_sweep(
+            ExperimentScale::Quick,
+            3,
+            &[5.0, 10.0],
+            &Recorder::disabled(),
+        )
+        .unwrap();
         assert_eq!(points.len(), 2);
         assert!(points[0].label.contains("eta=5"));
         assert!(points.iter().all(|p| p.score.accuracy.mean > 0.4));
@@ -203,7 +190,7 @@ mod tests {
 
     #[test]
     fn confidence_ablation_runs() {
-        let points = confidence_ablation(ExperimentScale::Quick, 4).unwrap();
+        let points = confidence_ablation(ExperimentScale::Quick, 4, &Recorder::disabled()).unwrap();
         assert_eq!(points.len(), 4);
         assert_eq!(points[0].label, "RLL");
         assert_eq!(points[2].label, "RLL+Bayesian");
@@ -212,7 +199,8 @@ mod tests {
 
     #[test]
     fn sampling_ablation_runs() {
-        let result = sampling_ablation(ExperimentScale::Quick, 5, 1.0).unwrap();
+        let result =
+            sampling_ablation(ExperimentScale::Quick, 5, 1.0, &Recorder::disabled()).unwrap();
         assert!(result.uniform_accuracy > 0.4);
         assert!(result.biased_accuracy > 0.4);
         assert_eq!(result.gamma, 1.0);

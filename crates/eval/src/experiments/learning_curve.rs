@@ -69,22 +69,13 @@ impl LearningCurveResult {
     }
 }
 
-/// Runs the sweep over label budgets on `oral`-flavoured simulations.
+/// Runs the sweep over label budgets on `oral`-flavoured simulations, with
+/// telemetry through `recorder`.
 ///
 /// Each budget point averages over `repeats` independently generated
 /// datasets (seeds `seed`, `seed + 1000`, …) — a single simulation of a few
 /// hundred examples is too noisy to read a trend from.
-pub fn run_repeated(
-    scale: ExperimentScale,
-    seed: u64,
-    ns: &[usize],
-    repeats: usize,
-) -> Result<LearningCurveResult> {
-    run_repeated_observed(scale, seed, ns, repeats, &rll_obs::Recorder::disabled())
-}
-
-/// [`run_repeated`] with telemetry through `recorder`.
-pub fn run_repeated_observed(
+pub fn run(
     scale: ExperimentScale,
     seed: u64,
     ns: &[usize],
@@ -110,12 +101,8 @@ pub fn run_repeated_observed(
                 parallel: true,
             };
             let ds = presets::oral_scaled(n, run_seed)?;
-            baseline_runs.push(cv.evaluate_with(MethodSpec::SoftProb, &ds, recorder)?);
-            rll_runs.push(cv.evaluate_with(
-                MethodSpec::Rll(RllVariant::Bayesian),
-                &ds,
-                recorder,
-            )?);
+            baseline_runs.push(cv.evaluate(MethodSpec::SoftProb, &ds, recorder)?);
+            rll_runs.push(cv.evaluate(MethodSpec::Rll(RllVariant::Bayesian), &ds, recorder)?);
         }
         let mean = |runs: &[MethodScore]| {
             runs.iter().map(|s| s.accuracy.mean).sum::<f64>() / runs.len() as f64
@@ -131,18 +118,21 @@ pub fn run_repeated_observed(
     Ok(LearningCurveResult { points, seed })
 }
 
-/// Single-repeat convenience wrapper around [`run_repeated`].
-pub fn run(scale: ExperimentScale, seed: u64, ns: &[usize]) -> Result<LearningCurveResult> {
-    run_repeated(scale, seed, ns, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rll_obs::Recorder;
 
     #[test]
     fn curve_runs_and_renders() {
-        let result = run(ExperimentScale::Quick, 9, &[60, 120]).unwrap();
+        let result = run(
+            ExperimentScale::Quick,
+            9,
+            &[60, 120],
+            1,
+            &Recorder::disabled(),
+        )
+        .unwrap();
         assert_eq!(result.points.len(), 2);
         assert_eq!(result.points[0].n, 60);
         let table = result.render();
@@ -157,11 +147,11 @@ mod tests {
 
     #[test]
     fn repeated_runs_average() {
-        let result = run_repeated(ExperimentScale::Quick, 5, &[60], 2).unwrap();
+        let result = run(ExperimentScale::Quick, 5, &[60], 2, &Recorder::disabled()).unwrap();
         let p = &result.points[0];
         assert_eq!(p.baseline_runs.len(), 2);
         let manual = (p.baseline_runs[0].accuracy.mean + p.baseline_runs[1].accuracy.mean) / 2.0;
         assert!((p.baseline_accuracy - manual).abs() < 1e-12);
-        assert!(run_repeated(ExperimentScale::Quick, 5, &[60], 0).is_err());
+        assert!(run(ExperimentScale::Quick, 5, &[60], 0, &Recorder::disabled()).is_err());
     }
 }

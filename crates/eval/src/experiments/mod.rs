@@ -1,14 +1,17 @@
-//! One runner per paper artifact.
+//! One runner per paper artifact. Each takes the [`rll_obs::Recorder`] it
+//! reports to; pass [`rll_obs::Recorder::disabled()`] for a silent run.
 //!
 //! | Runner | Paper artifact |
 //! |---|---|
 //! | [`table1::run`] | Table I — prediction results, 15 methods × 2 datasets |
-//! | [`table2::run`] | Table II — RLL-Bayesian vs. `k ∈ {2,3,4,5}` |
-//! | [`table3::run`] | Table III — RLL-Bayesian vs. `d ∈ {1,3,5}` |
+//! | [`table2::run`] | Table II — RLL-Bayesian vs. `k` (the paper sweeps `{2,3,4,5}`) |
+//! | [`table3::run`] | Table III — RLL-Bayesian vs. `d` (the paper sweeps `{1,3,5}`) |
 //! | [`ablations`] | DESIGN.md §7 — η sweep, confidence ablation, embedding-dim sweep, sampling-strategy ablation |
+//! | [`learning_curve::run`] | extension — SoftProb vs. RLL-Bayesian as the label budget `n` shrinks |
 //!
-//! Figure 1 is the architecture diagram; `examples/quickstart.rs` walks its
-//! stages executably.
+//! The `repro` binary (package `rll-bench`) runs each of them from the
+//! command line. Figure 1 is the architecture diagram;
+//! `examples/quickstart.rs` walks its stages executably.
 
 pub mod ablations;
 pub mod learning_curve;

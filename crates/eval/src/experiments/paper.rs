@@ -1,5 +1,5 @@
 //! The paper's reported numbers, for side-by-side comparison in
-//! `EXPERIMENTS.md` and the repro binaries.
+//! `EXPERIMENTS.md` and the `repro` binary.
 
 /// One reported row: `(method, oral_acc, oral_f1, class_acc, class_f1)`.
 pub type PaperRow = (&'static str, f64, f64, f64, f64);

@@ -57,18 +57,9 @@ impl Table1Result {
 }
 
 /// Runs the experiment. `methods` defaults to all 15 rows; pass a subset to
-/// iterate faster.
+/// iterate faster. Per-fold, per-method, and (for RLL rows) per-epoch events
+/// flow through `recorder`.
 pub fn run(
-    scale: ExperimentScale,
-    seed: u64,
-    methods: Option<&[MethodSpec]>,
-) -> Result<Table1Result> {
-    run_observed(scale, seed, methods, &rll_obs::Recorder::disabled())
-}
-
-/// [`run`] with telemetry: per-fold, per-method, and (for RLL rows)
-/// per-epoch events flow through `recorder`.
-pub fn run_observed(
     scale: ExperimentScale,
     seed: u64,
     methods: Option<&[MethodSpec]>,
@@ -91,8 +82,8 @@ pub fn run_observed(
         class_ds.len()
     ));
     Ok(Table1Result {
-        oral: cv.evaluate_all_with(methods, &oral_ds, recorder)?,
-        class: cv.evaluate_all_with(methods, &class_ds, recorder)?,
+        oral: cv.evaluate_all(methods, &oral_ds, recorder)?,
+        class: cv.evaluate_all(methods, &class_ds, recorder)?,
         scale,
         seed,
     })
@@ -111,7 +102,13 @@ mod tests {
             MethodSpec::Em,
             MethodSpec::Rll(RllVariant::Bayesian),
         ];
-        let result = run(ExperimentScale::Quick, 42, Some(&methods)).unwrap();
+        let result = run(
+            ExperimentScale::Quick,
+            42,
+            Some(&methods),
+            &rll_obs::Recorder::disabled(),
+        )
+        .unwrap();
         assert_eq!(result.oral.len(), 3);
         assert_eq!(result.class.len(), 3);
         let table = result.render();

@@ -45,33 +45,16 @@ impl Table2Result {
             .enumerate()
             .max_by(|(_, a), (_, b)| a.accuracy.mean.total_cmp(&b.accuracy.mean))
             // lint: allow(no-panic-lib) — structural invariant: Table2Result is
-            // only built by run_with_ks(), which pushes one entry per k.
+            // only built by run(), which pushes one entry per k.
             .expect("sweep has entries");
         self.ks[i]
     }
 }
 
-/// Runs the sweep with the paper's values `k ∈ {2, 3, 4, 5}`.
-pub fn run(scale: ExperimentScale, seed: u64) -> Result<Table2Result> {
-    run_with_ks(scale, seed, &[2, 3, 4, 5])
-}
-
-/// [`run`] with telemetry through `recorder`.
-pub fn run_observed(
-    scale: ExperimentScale,
-    seed: u64,
-    recorder: &rll_obs::Recorder,
-) -> Result<Table2Result> {
-    run_with_ks_observed(scale, seed, &[2, 3, 4, 5], recorder)
-}
-
-/// Runs the sweep with custom `k` values.
-pub fn run_with_ks(scale: ExperimentScale, seed: u64, ks: &[usize]) -> Result<Table2Result> {
-    run_with_ks_observed(scale, seed, ks, &rll_obs::Recorder::disabled())
-}
-
-/// [`run_with_ks`] with telemetry through `recorder`.
-pub fn run_with_ks_observed(
+/// Runs the sweep over `ks` (the paper's values are the first column of
+/// [`paper::TABLE2`](crate::experiments::paper::TABLE2)), with telemetry
+/// through `recorder`.
+pub fn run(
     scale: ExperimentScale,
     seed: u64,
     ks: &[usize],
@@ -93,8 +76,8 @@ pub fn run_with_ks_observed(
             seed,
             parallel: true,
         };
-        oral.push(cv.evaluate_with(MethodSpec::Rll(RllVariant::Bayesian), &oral_ds, recorder)?);
-        class.push(cv.evaluate_with(MethodSpec::Rll(RllVariant::Bayesian), &class_ds, recorder)?);
+        oral.push(cv.evaluate(MethodSpec::Rll(RllVariant::Bayesian), &oral_ds, recorder)?);
+        class.push(cv.evaluate(MethodSpec::Rll(RllVariant::Bayesian), &class_ds, recorder)?);
     }
     Ok(Table2Result {
         ks: ks.to_vec(),
@@ -111,7 +94,13 @@ mod tests {
 
     #[test]
     fn quick_sweep_runs() {
-        let result = run_with_ks(ExperimentScale::Quick, 7, &[2, 3]).unwrap();
+        let result = run(
+            ExperimentScale::Quick,
+            7,
+            &[2, 3],
+            &rll_obs::Recorder::disabled(),
+        )
+        .unwrap();
         assert_eq!(result.ks, vec![2, 3]);
         assert_eq!(result.oral.len(), 2);
         let table = result.render();

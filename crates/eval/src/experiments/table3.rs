@@ -51,28 +51,11 @@ impl Table3Result {
     }
 }
 
-/// Runs the sweep with the paper's values `d ∈ {1, 3, 5}`.
-pub fn run(scale: ExperimentScale, seed: u64) -> Result<Table3Result> {
-    run_with_ds(scale, seed, &[1, 3, 5])
-}
-
-/// [`run`] with telemetry through `recorder`.
-pub fn run_observed(
-    scale: ExperimentScale,
-    seed: u64,
-    recorder: &rll_obs::Recorder,
-) -> Result<Table3Result> {
-    run_with_ds_observed(scale, seed, &[1, 3, 5], recorder)
-}
-
-/// Runs the sweep with custom worker counts (each must be ≤ 5, the pool size
-/// of the presets).
-pub fn run_with_ds(scale: ExperimentScale, seed: u64, ds: &[usize]) -> Result<Table3Result> {
-    run_with_ds_observed(scale, seed, ds, &rll_obs::Recorder::disabled())
-}
-
-/// [`run_with_ds`] with telemetry through `recorder`.
-pub fn run_with_ds_observed(
+/// Runs the sweep over worker counts `ds` (each must be ≤ 5, the pool size
+/// of the presets; the paper's values are the first column of
+/// [`paper::TABLE3`](crate::experiments::paper::TABLE3)), with telemetry
+/// through `recorder`.
+pub fn run(
     scale: ExperimentScale,
     seed: u64,
     ds: &[usize],
@@ -92,8 +75,8 @@ pub fn run_with_ds_observed(
         recorder.note(format!("table3: restricting to d={d} workers"));
         let oral_d = oral_full.with_workers(d)?;
         let class_d = class_full.with_workers(d)?;
-        oral.push(cv.evaluate_with(MethodSpec::Rll(RllVariant::Bayesian), &oral_d, recorder)?);
-        class.push(cv.evaluate_with(MethodSpec::Rll(RllVariant::Bayesian), &class_d, recorder)?);
+        oral.push(cv.evaluate(MethodSpec::Rll(RllVariant::Bayesian), &oral_d, recorder)?);
+        class.push(cv.evaluate(MethodSpec::Rll(RllVariant::Bayesian), &class_d, recorder)?);
     }
     Ok(Table3Result {
         ds: ds.to_vec(),
@@ -110,7 +93,13 @@ mod tests {
 
     #[test]
     fn quick_sweep_runs() {
-        let result = run_with_ds(ExperimentScale::Quick, 9, &[1, 5]).unwrap();
+        let result = run(
+            ExperimentScale::Quick,
+            9,
+            &[1, 5],
+            &rll_obs::Recorder::disabled(),
+        )
+        .unwrap();
         assert_eq!(result.ds, vec![1, 5]);
         let table = result.render();
         assert!(table.contains("Table III"));

@@ -3,7 +3,7 @@
 //! datasets and report the average performance").
 
 use crate::error::EvalError;
-use crate::method::{fit_predict_observed, MethodSpec, TrainBudget};
+use crate::method::{fit_predict, MethodSpec, TrainBudget};
 use crate::metrics::ConfusionMatrix;
 use crate::Result;
 use rll_data::{Dataset, StratifiedKFold};
@@ -17,9 +17,6 @@ pub struct FoldScores {
     pub mean: f64,
     /// Population standard deviation across folds.
     pub std: f64,
-    /// Per-fold values.
-    #[serde(skip)]
-    pub values_cached: (),
 }
 
 impl FoldScores {
@@ -27,11 +24,7 @@ impl FoldScores {
     pub fn from_values(values: &[f64]) -> Result<Self> {
         let mean = rll_tensor::stats::mean(values)?;
         let std = rll_tensor::stats::std_dev(values)?;
-        Ok(FoldScores {
-            mean,
-            std,
-            values_cached: (),
-        })
+        Ok(FoldScores { mean, std })
     }
 }
 
@@ -79,17 +72,12 @@ impl CrossValidator {
         }
     }
 
-    /// Evaluates one method on one dataset (no telemetry).
-    pub fn evaluate(&self, spec: MethodSpec, dataset: &Dataset) -> Result<MethodScore> {
-        self.evaluate_with(spec, dataset, &Recorder::disabled())
-    }
-
     /// Evaluates one method on one dataset, emitting a `FoldEnd` event per
     /// fold and a `MethodEnd` summary through `recorder`. The recorder is
     /// also threaded into RLL training, so per-epoch events appear inside
     /// each fold (interleaved across folds when `parallel` is set; fold ids
     /// on `FoldEnd` events disambiguate).
-    pub fn evaluate_with(
+    pub fn evaluate(
         &self,
         spec: MethodSpec,
         dataset: &Dataset,
@@ -112,7 +100,7 @@ impl CrossValidator {
             let split = kfold.split(fold)?;
             let train = dataset.select(&split.train)?;
             let test = dataset.select(&split.test)?;
-            let predictions = fit_predict_observed(
+            let predictions = fit_predict(
                 spec,
                 self.budget,
                 &train.features,
@@ -163,18 +151,9 @@ impl CrossValidator {
         })
     }
 
-    /// Evaluates a list of methods on one dataset (no telemetry).
-    pub fn evaluate_all(
-        &self,
-        specs: &[MethodSpec],
-        dataset: &Dataset,
-    ) -> Result<Vec<MethodScore>> {
-        self.evaluate_all_with(specs, dataset, &Recorder::disabled())
-    }
-
     /// Evaluates a list of methods on one dataset, emitting per-fold and
     /// per-method events through `recorder`.
-    pub fn evaluate_all_with(
+    pub fn evaluate_all(
         &self,
         specs: &[MethodSpec],
         dataset: &Dataset,
@@ -182,7 +161,7 @@ impl CrossValidator {
     ) -> Result<Vec<MethodScore>> {
         specs
             .iter()
-            .map(|&s| self.evaluate_with(s, dataset, recorder))
+            .map(|&s| self.evaluate(s, dataset, recorder))
             .collect()
     }
 }
@@ -268,7 +247,9 @@ mod tests {
     #[test]
     fn evaluates_a_simple_method() {
         let ds = dataset();
-        let score = quick_cv(false).evaluate(MethodSpec::SoftProb, &ds).unwrap();
+        let score = quick_cv(false)
+            .evaluate(MethodSpec::SoftProb, &ds, &Recorder::disabled())
+            .unwrap();
         assert_eq!(score.method, "SoftProb");
         assert_eq!(score.group, 1);
         assert_eq!(score.fold_accuracies.len(), 3);
@@ -283,8 +264,12 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let ds = dataset();
-        let seq = quick_cv(false).evaluate(MethodSpec::Em, &ds).unwrap();
-        let par = quick_cv(true).evaluate(MethodSpec::Em, &ds).unwrap();
+        let seq = quick_cv(false)
+            .evaluate(MethodSpec::Em, &ds, &Recorder::disabled())
+            .unwrap();
+        let par = quick_cv(true)
+            .evaluate(MethodSpec::Em, &ds, &Recorder::disabled())
+            .unwrap();
         assert_eq!(seq.fold_accuracies, par.fold_accuracies);
         assert_eq!(seq.fold_f1s, par.fold_f1s);
     }
@@ -293,7 +278,11 @@ mod tests {
     fn rll_evaluates_under_cv() {
         let ds = dataset();
         let score = quick_cv(true)
-            .evaluate(MethodSpec::Rll(RllVariant::Bayesian), &ds)
+            .evaluate(
+                MethodSpec::Rll(RllVariant::Bayesian),
+                &ds,
+                &Recorder::disabled(),
+            )
             .unwrap();
         assert_eq!(score.method, "RLL+Bayesian");
         assert_eq!(score.group, 4);
@@ -313,14 +302,18 @@ mod tests {
             seed: 1,
             parallel: false,
         };
-        assert!(cv.evaluate(MethodSpec::SoftProb, &ds).is_err());
+        assert!(cv
+            .evaluate(MethodSpec::SoftProb, &ds, &Recorder::disabled())
+            .is_err());
     }
 
     #[test]
     fn evaluate_all_preserves_order() {
         let ds = dataset();
         let specs = [MethodSpec::SoftProb, MethodSpec::Em];
-        let scores = quick_cv(false).evaluate_all(&specs, &ds).unwrap();
+        let scores = quick_cv(false)
+            .evaluate_all(&specs, &ds, &Recorder::disabled())
+            .unwrap();
         assert_eq!(scores.len(), 2);
         assert_eq!(scores[0].method, "SoftProb");
         assert_eq!(scores[1].method, "EM");
@@ -329,15 +322,21 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let ds = dataset();
-        let a = quick_cv(false).evaluate(MethodSpec::SoftProb, &ds).unwrap();
-        let b = quick_cv(false).evaluate(MethodSpec::SoftProb, &ds).unwrap();
+        let a = quick_cv(false)
+            .evaluate(MethodSpec::SoftProb, &ds, &Recorder::disabled())
+            .unwrap();
+        let b = quick_cv(false)
+            .evaluate(MethodSpec::SoftProb, &ds, &Recorder::disabled())
+            .unwrap();
         assert_eq!(a.fold_accuracies, b.fold_accuracies);
     }
 
     #[test]
     fn compare_self_is_no_difference() {
         let ds = dataset();
-        let a = quick_cv(false).evaluate(MethodSpec::SoftProb, &ds).unwrap();
+        let a = quick_cv(false)
+            .evaluate(MethodSpec::SoftProb, &ds, &Recorder::disabled())
+            .unwrap();
         let cmp = compare(&a, &a).unwrap();
         assert_eq!(cmp.accuracy_delta, 0.0);
         assert!(cmp.t_statistic.is_none());
@@ -348,8 +347,12 @@ mod tests {
     fn compare_different_methods() {
         let ds = dataset();
         let cv = quick_cv(false);
-        let a = cv.evaluate(MethodSpec::SoftProb, &ds).unwrap();
-        let b = cv.evaluate(MethodSpec::Em, &ds).unwrap();
+        let a = cv
+            .evaluate(MethodSpec::SoftProb, &ds, &Recorder::disabled())
+            .unwrap();
+        let b = cv
+            .evaluate(MethodSpec::Em, &ds, &Recorder::disabled())
+            .unwrap();
         let cmp = compare(&a, &b).unwrap();
         assert!((cmp.accuracy_delta - (a.accuracy.mean - b.accuracy.mean)).abs() < 1e-12);
         if let Some(p) = cmp.p_value {

@@ -27,6 +27,9 @@ pub mod report;
 pub use error::EvalError;
 pub use harness::{CrossValidator, FoldScores, MethodScore};
 pub use method::{MethodSpec, TrainBudget};
+/// The telemetry recorder every runner reports to; re-exported so callers of
+/// the runners can name it without depending on `rll-obs`.
+pub use rll_obs::Recorder;
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, EvalError>;

@@ -114,7 +114,7 @@ impl MethodSpec {
 }
 
 /// Compute budget for one `fit`, shared across methods so comparisons stay
-/// fair. `quick()` keeps tests fast; `full()` matches the repro binaries.
+/// fair. `quick()` keeps tests fast; `full()` matches `repro --full`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainBudget {
     /// Epochs for every neural method (Group 2/3 embedders and RLL).
@@ -206,31 +206,11 @@ impl TrainBudget {
 
 /// Trains the method on `(train_x, train_ann)` and predicts hard labels for
 /// `test_x`. Features are raw; normalization is fitted on the training split
-/// internally. Expert labels never enter this function.
+/// internally. Expert labels never enter this function. Only the RLL methods
+/// report training events (epoch/sampler/confidence) to `recorder`; the
+/// baseline methods run unobserved apart from the harness's fold-level
+/// events.
 pub fn fit_predict(
-    spec: MethodSpec,
-    budget: TrainBudget,
-    train_x: &Matrix,
-    train_ann: &AnnotationMatrix,
-    test_x: &Matrix,
-    seed: u64,
-) -> Result<Vec<u8>> {
-    fit_predict_observed(
-        spec,
-        budget,
-        train_x,
-        train_ann,
-        test_x,
-        seed,
-        &rll_obs::Recorder::disabled(),
-    )
-}
-
-/// [`fit_predict`] with a telemetry recorder threaded into training. Only the
-/// RLL methods emit training events (epoch/sampler/confidence); the baseline
-/// methods run unobserved apart from the harness's fold-level events.
-#[allow(clippy::too_many_arguments)]
-pub fn fit_predict_observed(
     spec: MethodSpec,
     budget: TrainBudget,
     train_x: &Matrix,
@@ -328,6 +308,7 @@ fn classify_on_embeddings(
 mod tests {
     use super::*;
     use rll_crowd::simulate::{WorkerModel, WorkerPool};
+    use rll_obs::Recorder;
     use rll_tensor::Rng64;
 
     fn crowd_dataset(n: usize, seed: u64) -> (Matrix, AnnotationMatrix, Vec<u8>) {
@@ -378,8 +359,16 @@ mod tests {
         let test_x = x.select_rows(&test_idx).unwrap();
         let train_ann = ann.select_items(&train_idx).unwrap();
         for spec in MethodSpec::table1_rows() {
-            let pred = fit_predict(spec, TrainBudget::quick(), &train_x, &train_ann, &test_x, 7)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", spec.name()));
+            let pred = fit_predict(
+                spec,
+                TrainBudget::quick(),
+                &train_x,
+                &train_ann,
+                &test_x,
+                7,
+                &Recorder::disabled(),
+            )
+            .unwrap_or_else(|e| panic!("{} failed: {e}", spec.name()));
             assert_eq!(pred.len(), 12, "{}", spec.name());
             assert!(pred.iter().all(|&p| p <= 1), "{}", spec.name());
         }
@@ -399,8 +388,16 @@ mod tests {
             MethodSpec::Em,
             MethodSpec::Rll(RllVariant::Bayesian),
         ] {
-            let pred =
-                fit_predict(spec, TrainBudget::quick(), &train_x, &train_ann, &test_x, 3).unwrap();
+            let pred = fit_predict(
+                spec,
+                TrainBudget::quick(),
+                &train_x,
+                &train_ann,
+                &test_x,
+                3,
+                &Recorder::disabled(),
+            )
+            .unwrap();
             let acc = pred.iter().zip(&test_truth).filter(|(a, b)| a == b).count() as f64
                 / test_truth.len() as f64;
             assert!(acc > 0.7, "{} accuracy {acc}", spec.name());
@@ -414,7 +411,16 @@ mod tests {
             epochs: 0,
             ..TrainBudget::quick()
         };
-        assert!(fit_predict(MethodSpec::SoftProb, bad, &x, &ann, &x, 1).is_err());
+        assert!(fit_predict(
+            MethodSpec::SoftProb,
+            bad,
+            &x,
+            &ann,
+            &x,
+            1,
+            &Recorder::disabled()
+        )
+        .is_err());
         let mismatched = x.select_rows(&[0, 1]).unwrap();
         assert!(fit_predict(
             MethodSpec::SoftProb,
@@ -422,7 +428,8 @@ mod tests {
             &mismatched,
             &ann,
             &x,
-            1
+            1,
+            &Recorder::disabled()
         )
         .is_err());
     }

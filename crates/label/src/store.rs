@@ -1,7 +1,9 @@
 //! The live label store: WAL + tracker behind the workspace lock ladder.
 //!
-//! Four locks, all above the serving ladder (`workers(10) < model(20) <
-//! queue(30) < cache(40) < train_run_id(50)`):
+//! Four locks of the workspace's nine-lock ladder (`workers(10) <
+//! model(20) < queue(30) < cache(40)` in the serving engine, then
+//! `dedup(55) < wal(60) < votes(70) < retrain(80) < compact(90)`; see
+//! CONTRIBUTING.md):
 //!
 //! - `dedup` (rank **55**) guards the idempotency receipt table and is held
 //!   across the whole keyed-ingest sequence, so two concurrent retries of

@@ -157,7 +157,7 @@ pub fn analyze(
     files: &[AnalyzedFile],
     in_scope: &dyn Fn(&str, &str) -> bool,
 ) -> (LockGraph, Vec<StructHit>) {
-    let decls = collect_decls(files);
+    let (decls, decl_hits) = collect_decls(files);
     let ranks: BTreeMap<&str, u32> = decls.iter().map(|d| (d.name.as_str(), d.rank)).collect();
 
     // Per-file acquisition sites (for files where either lock rule applies —
@@ -178,7 +178,10 @@ pub fn analyze(
     let io_summaries = transitive_io(files);
 
     let mut edges: Vec<LockEdge> = Vec::new();
-    let mut hits: Vec<StructHit> = Vec::new();
+    let mut hits: Vec<StructHit> = decl_hits
+        .into_iter()
+        .filter(|h| in_scope("lock-order-cycle", &h.file))
+        .collect();
 
     for (fi, f) in files.iter().enumerate() {
         let cycle_scope = in_scope("lock-order-cycle", &f.path);
@@ -330,9 +333,12 @@ pub fn analyze(
 /// Finds `OrderedMutex::new("name", rank, …)` / `OrderedRwLock::new(…)`
 /// declarations. The pattern is located in the *masked* code (so `#[cfg(
 /// test)]` declarations are invisible), then the name literal and rank are
-/// read back from the raw line at the same position.
-fn collect_decls(files: &[AnalyzedFile]) -> Vec<LockDecl> {
+/// read back from the raw source at the same position, across line breaks.
+/// A constructor whose name and rank are not literals cannot join the graph,
+/// so it is reported as a `lock-order-cycle` hit instead of being skipped.
+fn collect_decls(files: &[AnalyzedFile]) -> (Vec<LockDecl>, Vec<StructHit>) {
     let mut out = Vec::new();
+    let mut hits = Vec::new();
     for f in files {
         for (li, line) in f.code.iter().enumerate() {
             for ty in ["OrderedMutex", "OrderedRwLock"] {
@@ -340,8 +346,17 @@ fn collect_decls(files: &[AnalyzedFile]) -> Vec<LockDecl> {
                 let Some(col) = line.find(&needle) else {
                     continue;
                 };
-                let Some(raw) = f.raw.get(li) else { continue };
-                let Some((name, rank)) = parse_decl_args(raw, col + needle.len()) else {
+                let Some((name, rank)) = parse_decl_args(&f.raw, li, col + needle.len()) else {
+                    hits.push(StructHit {
+                        file: f.path.clone(),
+                        line: li,
+                        col,
+                        rule: "lock-order-cycle".into(),
+                        snippet: format!("{ty}::new without a literal name and rank"),
+                        hint: "pass the lock's name and rank as literals (`\"name\", rank`) so \
+                               the lock graph can place it"
+                            .into(),
+                    });
                     continue;
                 };
                 out.push(LockDecl {
@@ -354,48 +369,36 @@ fn collect_decls(files: &[AnalyzedFile]) -> Vec<LockDecl> {
         }
     }
     out.sort_by(|a, b| (a.rank, &a.name).cmp(&(b.rank, &b.name)));
-    out
+    (out, hits)
 }
 
-/// Parses `"name", rank` from the raw line starting at byte/char offset
-/// `from` (just past the opening paren). Declarations must keep the name and
-/// rank literals on the constructor's line.
-fn parse_decl_args(raw: &str, from: usize) -> Option<(String, u32)> {
-    let chars: Vec<char> = raw.chars().collect();
-    let mut i = from;
-    while chars.get(i).is_some_and(|c| c.is_whitespace()) {
-        i += 1;
-    }
-    if chars.get(i) != Some(&'"') {
-        return None;
-    }
-    i += 1;
-    let name_start = i;
-    while i < chars.len() && chars[i] != '"' {
-        i += 1;
-    }
-    let name: String = chars[name_start..i].iter().collect();
-    i += 1; // closing quote
-    while chars.get(i).is_some_and(|c| c.is_whitespace() || *c == ',') {
-        i += 1;
-    }
-    let rank_start = i;
-    while chars
-        .get(i)
-        .is_some_and(|c| c.is_ascii_digit() || *c == '_')
-    {
-        i += 1;
-    }
-    if i == rank_start || name.is_empty() {
-        return None;
-    }
-    let rank: u32 = chars[rank_start..i]
+/// Parses `"name", rank` from `raw` starting at line `li`, char offset
+/// `from` (just past the opening paren). The arguments may continue on the
+/// following lines, as rustfmt wraps long constructor calls.
+fn parse_decl_args(raw: &[String], li: usize, from: usize) -> Option<(String, u32)> {
+    let mut chars = raw
+        .get(li..)?
         .iter()
-        .filter(|c| **c != '_')
-        .collect::<String>()
-        .parse()
-        .ok()?;
-    Some((name, rank))
+        .enumerate()
+        .flat_map(|(k, line)| {
+            let skip = if k == 0 { from } else { 0 };
+            line.chars().skip(skip).chain(std::iter::once('\n'))
+        })
+        .peekable();
+    while chars.next_if(|c| c.is_whitespace()).is_some() {}
+    chars.next_if_eq(&'"')?;
+    let name: String = chars.by_ref().take_while(|c| *c != '"').collect();
+    while chars.next_if(|c| c.is_whitespace() || *c == ',').is_some() {}
+    let mut digits = String::new();
+    while let Some(c) = chars.next_if(|c| c.is_ascii_digit() || *c == '_') {
+        if c != '_' {
+            digits.push(c);
+        }
+    }
+    if name.is_empty() {
+        return None;
+    }
+    Some((name, digits.parse().ok()?))
 }
 
 /// Finds every acquisition site `X.lock()` / `X.read()` / `X.write()` (empty
@@ -981,7 +984,7 @@ fn reader(s: &S, buf: &mut [u8]) {
 }
 "#;
         let files = vec![analyzed("crates/x/src/lib.rs", src)];
-        let decls = collect_decls(&files);
+        let (decls, _) = collect_decls(&files);
         let ranks: BTreeMap<&str, u32> = decls.iter().map(|d| (d.name.as_str(), d.rank)).collect();
         assert!(find_acquires(&files[0], &ranks).is_empty());
     }

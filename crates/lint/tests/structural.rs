@@ -128,6 +128,58 @@ pub fn inverted(s: &Shared) {
     assert_eq!(report.suppressed[0].rule, "lock-order-cycle");
 }
 
+/// rustfmt wraps a long constructor call so the name and rank sit on the
+/// lines after `OrderedMutex::new(`. The lock must still join the graph and
+/// its rank checks.
+#[test]
+fn wrapped_lock_constructor_keeps_its_rank() {
+    let report = lint_one(
+        r#"
+pub fn make(capacity: usize) -> Shared {
+    Shared {
+        model: OrderedRwLock::new("model", 20, 0),
+        cache: OrderedMutex::new(
+            "cache",
+            40,
+            Cache {
+                entries: Vec::with_capacity(capacity),
+            },
+        ),
+    }
+}
+pub fn inverted(s: &Shared) {
+    let g1 = s.cache.lock();
+    let g2 = s.model.read();
+}
+"#,
+    );
+    let locks: Vec<(&str, u32)> = report
+        .lock_graph
+        .locks
+        .iter()
+        .map(|d| (d.name.as_str(), d.rank))
+        .collect();
+    assert_eq!(locks, [("model", 20), ("cache", 40)]);
+    assert_eq!(rules_hit(&report), ["lock-order-cycle"]);
+    assert!(report.violations[0].snippet.contains("cache(rank 40)"));
+}
+
+/// A constructor whose name or rank is not a literal cannot be placed in
+/// the graph, so it is a violation rather than a silently missing lock.
+#[test]
+fn lock_constructor_without_literals_is_flagged() {
+    let report = lint_one(
+        r#"
+pub fn make(name: &'static str, rank: u32) -> OrderedMutex<u32> {
+    OrderedMutex::new(name, rank, 0)
+}
+"#,
+    );
+    assert!(report.lock_graph.locks.is_empty());
+    assert_eq!(rules_hit(&report), ["lock-order-cycle"]);
+    assert_eq!(report.violations[0].line, 3);
+}
+
 // ── no-lock-held-io ─────────────────────────────────────────────────────────
 
 #[test]

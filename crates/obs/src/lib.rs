@@ -10,9 +10,10 @@
 //! - **Spans** ([`SpanTimer`], from [`Recorder::span`]): RAII wall-time
 //!   guards that record into a histogram on drop.
 //! - **Events** ([`Event`], [`EventKind`]): typed, serde-serializable run
-//!   records fanned out through pluggable [`Sink`]s — [`NullSink`] (off),
-//!   [`StdoutSink`] (human-readable), [`JsonlSink`] (append-only
-//!   `results/runs/<run_id>.jsonl`), [`MemorySink`] (tests).
+//!   records fanned out through pluggable [`Sink`]s — [`StdoutSink`]
+//!   (human-readable), [`JsonlSink`] (append-only
+//!   `results/runs/<run_id>.jsonl`), [`MemorySink`] (tests); a recorder with
+//!   no sinks ([`Recorder::disabled()`]) is off.
 //!
 //! The [`Recorder`] ties the three together. Library code takes a recorder
 //! and defaults to [`Recorder::disabled()`], so instrumentation is silent
@@ -52,6 +53,6 @@ pub use metrics::{
 };
 pub use profile::{EpochProfileStats, ProfileNode};
 pub use recorder::Recorder;
-pub use sink::{JsonlSink, MemorySink, NullSink, Sink, StdoutSink};
+pub use sink::{JsonlSink, MemorySink, Sink, StdoutSink};
 pub use span::SpanTimer;
 pub use trace::{trace_id, Phase, PhaseSample, TraceCtx, TraceRecord, TRACE_SCHEMA};

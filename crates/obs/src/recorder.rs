@@ -208,7 +208,7 @@ fn generate_run_id(experiment: &str, seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{MemorySink, NullSink};
+    use crate::sink::MemorySink;
 
     #[test]
     fn emit_assigns_sequential_seq() {
@@ -238,14 +238,6 @@ mod tests {
         recorder.note("quiet");
         assert_eq!(recorder.events_emitted(), 1);
         assert_eq!(recorder.metrics().counter("events.note").get(), 1);
-    }
-
-    #[test]
-    fn null_sink_recorder_emits_without_panicking() {
-        let recorder = Recorder::new("null", vec![Box::new(NullSink)]);
-        recorder.run_start("unit", "quick", 9);
-        recorder.finish();
-        assert_eq!(recorder.events_emitted(), 2);
     }
 
     #[test]

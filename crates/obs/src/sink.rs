@@ -32,14 +32,6 @@ impl<S: Sink + ?Sized> Sink for std::sync::Arc<S> {
     }
 }
 
-/// Discards everything. Used by `Recorder::disabled()`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn emit(&self, _event: &Event) {}
-}
-
 /// Human-readable progress on stdout; one line per event.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct StdoutSink;

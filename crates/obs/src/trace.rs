@@ -70,10 +70,6 @@ pub enum Phase {
     CacheHit,
     /// Validating a crowd vote and appending it to the label WAL.
     Ingest,
-    /// Replaying (or re-reading) label WAL segments from disk.
-    WalReplay,
-    /// An incremental retrain round folding WAL votes into the dataset.
-    Retrain,
     /// Encoding the response body and writing it to the socket.
     Serialize,
 }
@@ -88,17 +84,15 @@ impl Phase {
             Phase::Forward => "forward",
             Phase::CacheHit => "cache_hit",
             Phase::Ingest => "ingest",
-            Phase::WalReplay => "wal_replay",
-            Phase::Retrain => "retrain",
             Phase::Serialize => "serialize",
         }
     }
 
     /// Every phase, in lifecycle order (the order a cache-missing request
-    /// passes through them; `cache_hit` short-circuits the middle four, and
-    /// the label-path phases only appear on `/label` requests or retrain
-    /// round traces).
-    pub fn all() -> [Phase; 9] {
+    /// passes through them; `cache_hit` replaces `queue_wait`,
+    /// `batch_assembly` and `forward`, and `ingest` only appears on `/label`
+    /// requests).
+    pub fn all() -> [Phase; 7] {
         [
             Phase::Parse,
             Phase::QueueWait,
@@ -106,8 +100,6 @@ impl Phase {
             Phase::Forward,
             Phase::CacheHit,
             Phase::Ingest,
-            Phase::WalReplay,
-            Phase::Retrain,
             Phase::Serialize,
         ]
     }
@@ -340,8 +332,6 @@ mod tests {
                 "forward",
                 "cache_hit",
                 "ingest",
-                "wal_replay",
-                "retrain",
                 "serialize"
             ]
         );

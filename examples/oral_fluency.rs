@@ -13,10 +13,11 @@ use rll::core::RllVariant;
 use rll::data::presets;
 use rll::eval::harness::CrossValidator;
 use rll::eval::method::{EmbedKind, MethodSpec, TrainBudget, TwoStageAgg};
+use rll::eval::Recorder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A mid-size simulation keeps this example around a minute in release
-    // mode; `repro_table1 --full` runs the paper-size version.
+    // mode; `repro table1 --full` runs the paper-size version.
     let ds = presets::oral_scaled(440, 11)?;
     println!(
         "oral fluency: {} clips, {} features/clip, {} annotators, pos:neg = {:.2}\n",
@@ -42,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", "-".repeat(53));
     for spec in methods {
-        let score = cv.evaluate(spec, &ds)?;
+        let score = cv.evaluate(spec, &ds, &Recorder::disabled())?;
         println!(
             "{:<18}{:<7}{:.3} ± {:.3}     {:.3}",
             score.method, score.group, score.accuracy.mean, score.accuracy.std, score.f1.mean
@@ -50,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!(
-        "\nPaper Table I shape: the RLL variants (group 4) finish on top, with the\nconfidence-weighted variants ahead of plain RLL. At this reduced n the\nmargins are within one fold-std; `repro_table1 --full` runs the paper-size\nversion where the group-4 lead is consistent (see EXPERIMENTS.md)."
+        "\nPaper Table I shape: the RLL variants (group 4) finish on top, with the\nconfidence-weighted variants ahead of plain RLL. At this reduced n the\nmargins are within one fold-std; `repro table1 --full` runs the paper-size\nversion where the group-4 lead is consistent (see EXPERIMENTS.md)."
     );
     Ok(())
 }

@@ -13,6 +13,7 @@ use rll::core::RllVariant;
 use rll::data::presets;
 use rll::eval::harness::CrossValidator;
 use rll::eval::method::{MethodSpec, TrainBudget};
+use rll::eval::Recorder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let full = presets::oral_scaled(440, 17)?;
@@ -31,7 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut monotone = true;
     for d in [1usize, 3, 5] {
         let ds = full.with_workers(d)?;
-        let score = cv.evaluate(MethodSpec::Rll(RllVariant::Bayesian), &ds)?;
+        let score = cv.evaluate(
+            MethodSpec::Rll(RllVariant::Bayesian),
+            &ds,
+            &Recorder::disabled(),
+        )?;
         println!(
             "{:<4}{:<22}{:.3} ± {:.3}     {:.3}",
             d,
@@ -47,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!(
-        "\nPaper Table III shape: accuracy rises with d — more votes per item let\nthe Bayesian estimator pin down label confidence. Measured trend on this\nrun: {}. At n=440 one fold-std is ~0.03, so occasional inversions at small\nn are expected; the full-size run (`repro_table3 --full`) is monotone.",
+        "\nPaper Table III shape: accuracy rises with d — more votes per item let\nthe Bayesian estimator pin down label confidence. Measured trend on this\nrun: {}. At n=440 one fold-std is ~0.03, so occasional inversions at small\nn are expected; the full-size run (`repro table3 --full`) is monotone.",
         if monotone { "monotone ✔" } else { "not monotone at this size/seed" }
     );
     Ok(())

@@ -202,6 +202,26 @@ cmp "$SMOKE_DIR/crash_t1/golden.rllckpt" "$SMOKE_DIR/crash_t4/golden.rllckpt" ||
 }
 echo "crash-safety gate ok (resume is bitwise lossless at RLL_THREADS=1 and 4)"
 
+echo "== repro smoke (one paper table end to end; usage errors exit 2) =="
+# The experiment runner: Table I at quick scale must finish and write all
+# 15 rows for each dataset, and an unknown experiment must be a usage error.
+cargo build -q --release -p rll-bench --bin repro
+./target/release/repro table1 --quick --seed 42 --json "$SMOKE_DIR/table1.json" >/dev/null
+for ds in oral class; do
+    ROWS=$(grep -c "\"dataset\": \"$ds\"" "$SMOKE_DIR/table1.json" || true)
+    [ "$ROWS" = 15 ] || {
+        echo "repro smoke FAILED: table1.json has $ROWS $ds rows, want 15"
+        exit 1
+    }
+done
+REPRO_STATUS=0
+./target/release/repro bogus 2>/dev/null || REPRO_STATUS=$?
+[ "$REPRO_STATUS" = 2 ] || {
+    echo "repro smoke FAILED: 'repro bogus' exited $REPRO_STATUS, want 2"
+    exit 1
+}
+echo "repro smoke ok (table1 wrote 15 rows per dataset; unknown experiment exits 2)"
+
 echo "== label soak gate (live ingest + drift retrain + compaction + WAL crash replay) =="
 # A live-labeling server takes an interleaved vote + embed/score load with
 # connection churn and duplicate vote retries, must complete at least one

@@ -3,11 +3,18 @@
 use rll::core::RllVariant;
 use rll::eval::experiments::{table1, table2, table3, ExperimentScale};
 use rll::eval::method::MethodSpec;
+use rll::eval::Recorder;
 
 #[test]
 fn table1_subset_runs_and_renders() {
     let methods = [MethodSpec::SoftProb, MethodSpec::Rll(RllVariant::Bayesian)];
-    let result = table1::run(ExperimentScale::Quick, 5, Some(&methods)).unwrap();
+    let result = table1::run(
+        ExperimentScale::Quick,
+        5,
+        Some(&methods),
+        &Recorder::disabled(),
+    )
+    .unwrap();
     assert_eq!(result.oral.len(), 2);
     assert_eq!(result.class.len(), 2);
     let rendered = result.render();
@@ -20,7 +27,7 @@ fn table1_subset_runs_and_renders() {
 
 #[test]
 fn table2_sweep_runs() {
-    let result = table2::run_with_ks(ExperimentScale::Quick, 6, &[2, 3]).unwrap();
+    let result = table2::run(ExperimentScale::Quick, 6, &[2, 3], &Recorder::disabled()).unwrap();
     assert_eq!(result.ks, vec![2, 3]);
     assert!(result.oral.iter().all(|s| s.accuracy.mean > 0.4));
     assert!(result.render().contains("Table II"));
@@ -28,7 +35,7 @@ fn table2_sweep_runs() {
 
 #[test]
 fn table3_sweep_runs() {
-    let result = table3::run_with_ds(ExperimentScale::Quick, 7, &[1, 5]).unwrap();
+    let result = table3::run(ExperimentScale::Quick, 7, &[1, 5], &Recorder::disabled()).unwrap();
     assert_eq!(result.ds, vec![1, 5]);
     assert!(result.render().contains("Table III"));
     // With 5x the votes, accuracy should not collapse relative to d=1.
